@@ -3,7 +3,9 @@
 // Expected shape: Σ is linear in the molecule count times qualification
 // cost; Π is linear in retained atoms; the set operators are linear in the
 // canonical-key material; X is quadratic (|mv1|·|mv2|); prop is linear in
-// the distinct atoms/links of the result set.
+// the distinct atoms/links of the result set. A point query (one
+// index-seeded molecule through the MQL session) costs about one molecule
+// at every database size.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 #include "molecule/derivation.h"
 #include "molecule/operations.h"
 #include "molecule/propagation.h"
+#include "mql/session.h"
 #include "workload/geo.h"
 
 namespace {
@@ -63,7 +66,7 @@ struct OpsFixture {
 
 void BM_MoleculeDerivation(benchmark::State& state) {
   // The molecule-type definition operator `a` itself, at an explicit thread
-  // count (range(1)); snapshot build + fan-out per iteration.
+  // count (range(1)); engine set-up + fan-out per iteration.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
   mad::DerivationOptions opts{static_cast<unsigned>(state.range(1))};
@@ -87,6 +90,41 @@ BENCHMARK(BM_MoleculeDerivation)
     ->Args({400, 1})
     ->Args({400, 2})
     ->Args({400, 4});
+
+void BM_PointQuery(benchmark::State& state) {
+  // SELECT on an indexed root attribute returning one molecule, at
+  // parallelism 1, over GenerateScaledGeo(range(0)) states: the statement
+  // should scale with the result, not with the database.
+  static std::unique_ptr<mad::Database> db;
+  static int64_t states = -1;
+  if (db == nullptr || states != state.range(0)) {
+    states = state.range(0);
+    db = std::make_unique<mad::Database>("POINT");
+    mad::workload::GeoScale scale;
+    scale.states = static_cast<int>(states);
+    scale.rivers = scale.states / 5 + 1;
+    auto stats = mad::workload::GenerateScaledGeo(*db, scale);
+    if (!stats.ok() || !db->CreateIndex("state", "name").ok()) {
+      state.SkipWithError("point-query fixture failed");
+      db.reset();
+      return;
+    }
+  }
+  mad::mql::SessionOptions options;
+  options.parallelism = 1;
+  mad::mql::Session session(db.get(), options);
+  for (auto _ : state) {
+    auto result = session.Execute(
+        "SELECT ALL FROM state-area-edge-point WHERE state.name = 'S7'");
+    if (!result.ok() || result->molecules == nullptr ||
+        result->molecules->size() != 1) {
+      state.SkipWithError("point query failed");
+      return;
+    }
+    benchmark::DoNotOptimize(&result);
+  }
+}
+BENCHMARK(BM_PointQuery)->Arg(50)->Arg(500)->Arg(5000);
 
 void BM_SigmaRestrict(benchmark::State& state) {
   auto& f = OpsFixture::Get(state);

@@ -101,8 +101,8 @@ BENCHMARK(BM_MadNmWalkParallel)
     ->Args({200, 4});
 
 void BM_MadNmWalkSnapshotReuse(benchmark::State& state) {
-  // Amortises the frozen-snapshot build across derivations — the repeated-
-  // query shape (the MQL session reuses one engine the same way).
+  // One engine serves every derivation — the repeated-query shape (the MQL
+  // session reuses one engine the same way); only the fan-out is timed.
   auto& f = NmFixture::Get(state);
   if (f.md == nullptr) return;
   auto engine = mad::DerivationEngine::Create(

@@ -23,33 +23,12 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     cp.schemas_.push_back(&at->description());
   }
   MAD_ASSIGN_OR_RETURN(cp.root_, cp.BuildBool(*cp.resolved_));
-  // Direct-mapped rows for every node the binding loops touch, resolved
-  // through the pinned view when one is given (the head when not, or when
-  // the head already equals the snapshot).
-  cp.row_tables_.resize(cp.stores_.size());
-  for (size_t node_idx : cp.loop_node_set_) {
-    const AtomStore& store = *cp.stores_[node_idx];
-    std::vector<const Atom*>& table = cp.row_tables_[node_idx];
-    if (view.has_value() && !store.HeadVisibleAt(*view)) {
-      std::vector<const Atom*> rows = store.SnapshotAt(*view);
-      uint64_t max_id = 0;
-      for (const Atom* atom : rows) {
-        max_id = std::max(max_id, atom->id.value);
-      }
-      table.assign(static_cast<size_t>(max_id) + 1, nullptr);
-      for (const Atom* atom : rows) {
-        table[atom->id.value] = atom;
-      }
-      continue;
-    }
-    uint64_t max_id = 0;
-    for (const Atom& atom : store.atoms()) {
-      max_id = std::max(max_id, atom.id.value);
-    }
-    table.assign(static_cast<size_t>(max_id) + 1, nullptr);
-    for (const Atom& atom : store.atoms()) {
-      table[atom.id.value] = &atom;
-    }
+  // Nodes whose head differs from the view resolve atoms through the
+  // archive-aware FindVersionAt; the rest read the head.
+  cp.view_ = view;
+  cp.pinned_.reserve(cp.stores_.size());
+  for (const AtomStore* store : cp.stores_) {
+    cp.pinned_.push_back(view.has_value() && !store->HeadVisibleAt(*view));
   }
   if (mode == BatchMode::kAuto) cp.PlanBatch(view);
   return cp;
@@ -382,16 +361,17 @@ Result<bool> CompiledPredicate::EvalMolecule(const Molecule& molecule,
     scratch.spans_[i].data = nullptr;
     scratch.spans_[i].size = molecule.AtomsOf(i).size();
   }
-  // Dense rows only for looped nodes; a missing atom becomes a null row and
-  // errors when (and only when) the binding loops reach it — the
-  // interpreter's lazy Find() timing at the cost of one direct-mapped table
-  // read per atom instead of one hash per binding iteration.
+  // Dense rows only for looped nodes, each atom resolved once through its
+  // store at the compile view; a missing atom becomes a null row and errors
+  // when (and only when) the binding loops reach it — the interpreter's
+  // lazy Find() timing.
   for (size_t node_idx : loop_node_set_) {
-    const std::vector<const Atom*>& table = row_tables_[node_idx];
+    const AtomStore& store = *stores_[node_idx];
     std::vector<const Atom*>& row = scratch.rows_[node_idx];
     row.clear();
     for (AtomId id : molecule.AtomsOf(node_idx)) {
-      row.push_back(id.value < table.size() ? table[id.value] : nullptr);
+      row.push_back(pinned_[node_idx] ? store.FindVersionAt(id, *view_)
+                                      : store.Find(id));
     }
     scratch.spans_[node_idx].data = row.data();
   }

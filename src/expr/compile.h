@@ -42,8 +42,8 @@ namespace expr {
 ///
 /// Lifetime: a compiled predicate borrows the database's atom stores and
 /// schemas. It stays valid only while the database is not mutated — the
-/// same contract as the derivation engine's frozen snapshot. Evaluation is
-/// const and thread-safe provided each thread uses its own Scratch.
+/// same contract as the derivation engine. Evaluation is const and
+/// thread-safe provided each thread uses its own Scratch.
 class CompiledPredicate {
  public:
   /// Execution-mode selector for Compile. kAuto plans batch execution for
@@ -76,10 +76,11 @@ class CompiledPredicate {
 
   /// Resolves `predicate` against `md` (identical acceptance to
   /// MoleculeQualifier::Create) and compiles it. The database and the
-  /// description must outlive the compiled predicate. With `view`, the
-  /// dense row tables are built from the versions visible at that epoch
+  /// description must outlive the compiled predicate. With `view`,
+  /// EvalMolecule resolves atoms to the versions visible at that epoch
   /// instead of the head (DESIGN.md §11), so evaluation binds exactly the
-  /// atoms a reader pinned there would see.
+  /// atoms a reader pinned there would see. Compiling reads no atom: its
+  /// cost follows the predicate, not the database.
   static Result<CompiledPredicate> Compile(
       const Database& db, const MoleculeDescription& md,
       const ExprPtr& predicate, std::optional<ReadView> view = std::nullopt,
@@ -91,8 +92,9 @@ class CompiledPredicate {
   /// at the moment that atom would be bound.
   Result<bool> Eval(const AtomSpan* groups, Scratch& scratch) const;
 
-  /// Evaluates over a materialized molecule, resolving atom ids through the
-  /// stores captured at compile time into dense rows held in `scratch`.
+  /// Evaluates over a materialized molecule, resolving each atom id with
+  /// one store lookup at the compile view into dense rows held in
+  /// `scratch`.
   Result<bool> EvalMolecule(const Molecule& molecule, Scratch& scratch) const;
 
   /// The predicate with every attribute reference rewritten to
@@ -243,12 +245,10 @@ class CompiledPredicate {
   /// Per description node, captured at compile time (node order).
   std::vector<const AtomStore*> stores_;
   std::vector<const Schema*> schemas_;
-  /// Per *looped* node: direct-mapped id.value -> atom row (nullptr =
-  /// absent), built once at compile time so EvalMolecule resolves each
-  /// molecule atom with one array read instead of one hash per atom. Ids
-  /// are dense database-assigned counters, so the table is at most
-  /// max-id + 1 pointers. Same borrow-until-mutation contract as `stores_`.
-  std::vector<std::vector<const Atom*>> row_tables_;
+  /// The compile view, and per node whether the store's head differs from
+  /// it (atoms then resolve through FindVersionAt instead of Find).
+  std::optional<ReadView> view_;
+  std::vector<bool> pinned_;
   std::vector<size_t> loop_node_set_;
   uint32_t max_loop_depth_ = 0;
   /// Batch state per eligible leaf (unique_ptr: std::once_flag pins the

@@ -3,59 +3,34 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <unordered_map>
 
 #include "expr/compile.h"
 #include "util/digraph.h"
+#include "util/id_map.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mad {
 
-// ---- Frozen snapshot construction -----------------------------------------
+// ---- Description resolution ----------------------------------------------
 
 Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                                                  const MoleculeDescription& md,
                                                  DerivationOptions options) {
   DerivationEngine engine;
   engine.options_ = options;
+  const std::optional<ReadView>& view = options.view;
   const size_t node_count = md.nodes().size();
   engine.nodes_.resize(node_count);
-  engine.in_edges_.resize(node_count);
-
-  // Dense-index maps are a build-time convenience only; the derivation loop
-  // never hashes.
-  const std::optional<ReadView>& view = options.view;
-  std::vector<std::unordered_map<AtomId, uint32_t>> dense(node_count);
   for (size_t i = 0; i < node_count; ++i) {
     MAD_ASSIGN_OR_RETURN(const AtomType* at,
                          db.GetAtomType(md.nodes()[i].type_name));
-    const AtomStore& store = at->occurrence();
-    if (view.has_value() && !store.HeadVisibleAt(*view)) {
-      // Epoch-pinned path: freeze exactly the versions visible at the view.
-      std::vector<const Atom*> snapshot = store.SnapshotAt(*view);
-      engine.nodes_[i].ids.reserve(snapshot.size());
-      engine.nodes_[i].rows.reserve(snapshot.size());
-      dense[i].reserve(snapshot.size());
-      for (size_t k = 0; k < snapshot.size(); ++k) {
-        engine.nodes_[i].ids.push_back(snapshot[k]->id);
-        engine.nodes_[i].rows.push_back(snapshot[k]);
-        dense[i].emplace(snapshot[k]->id, static_cast<uint32_t>(k));
-      }
-    } else {
-      const std::vector<Atom>& atoms = store.atoms();
-      engine.nodes_[i].ids.reserve(atoms.size());
-      engine.nodes_[i].rows.reserve(atoms.size());
-      dense[i].reserve(atoms.size());
-      for (size_t k = 0; k < atoms.size(); ++k) {
-        engine.nodes_[i].ids.push_back(atoms[k].id);
-        engine.nodes_[i].rows.push_back(&atoms[k]);
-        dense[i].emplace(atoms[k].id, static_cast<uint32_t>(k));
-      }
-    }
+    Node& node = engine.nodes_[i];
+    node.store = &at->occurrence();
+    node.pinned = view.has_value() && !node.store->HeadVisibleAt(*view);
     const std::vector<size_t>& ins = md.InLinksOf(md.nodes()[i].label);
-    engine.in_edges_[i].assign(ins.begin(), ins.end());
+    node.in_edges.assign(ins.begin(), ins.end());
   }
 
   MAD_ASSIGN_OR_RETURN(engine.root_node_, md.NodeIndex(md.root_label()));
@@ -69,48 +44,26 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
 
   engine.edges_.reserve(md.links().size());
   for (const DirectedLink& dl : md.links()) {
-    EdgeSnapshot edge;
+    Edge edge;
     MAD_ASSIGN_OR_RETURN(edge.from_node, md.NodeIndex(dl.from));
     MAD_ASSIGN_OR_RETURN(edge.to_node, md.NodeIndex(dl.to));
     MAD_ASSIGN_OR_RETURN(const LinkType* lt, db.GetLinkType(dl.link_type));
-    const LinkStore& store = lt->occurrence();
-    const LinkDirection direction =
+    edge.store = &lt->occurrence();
+    edge.direction =
         dl.reverse ? LinkDirection::kBackward : LinkDirection::kForward;
-    const std::unordered_map<AtomId, uint32_t>& to_dense = dense[edge.to_node];
-
-    edge.offsets.reserve(engine.nodes_[edge.from_node].ids.size() + 1);
-    edge.offsets.push_back(0);
-    const bool pinned = view.has_value() && !store.HeadVisibleAt(*view);
-    for (AtomId from_id : engine.nodes_[edge.from_node].ids) {
-      auto add_partner = [&](AtomId partner) {
-        auto it = to_dense.find(partner);
-        if (it != to_dense.end()) edge.targets.push_back(it->second);
-      };
-      if (pinned) {
-        for (AtomId partner : store.PartnersAt(from_id, direction, *view)) {
-          add_partner(partner);
-        }
-      } else {
-        for (AtomId partner : store.Partners(from_id, direction)) {
-          add_partner(partner);
-        }
-      }
-      edge.offsets.push_back(edge.targets.size());
-    }
-    engine.edges_.push_back(std::move(edge));
+    edge.pinned = view.has_value() && !edge.store->HeadVisibleAt(*view);
+    engine.edges_.push_back(edge);
   }
 
-  // Pushed-down qualification: rearrange the filters to node order and note
-  // which nodes must publish dense rows for some program's binding loops.
-  engine.filters_by_node_.assign(node_count, nullptr);
-  engine.needs_rows_.assign(node_count, false);
+  // Pushed-down qualification: attach the filters to their nodes and note
+  // which nodes must publish rows for some program's binding loops.
   auto adopt = [&](const expr::CompiledPredicate* program) -> Status {
     if (program->node_count() != node_count) {
       return Status::InvalidArgument(
           "pushed predicate program was compiled against a different "
           "description");
     }
-    for (size_t n : program->loop_nodes()) engine.needs_rows_[n] = true;
+    for (size_t n : program->loop_nodes()) engine.nodes_[n].needs_rows = true;
     engine.filtering_ = true;
     return Status::OK();
   };
@@ -121,109 +74,124 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                                      std::to_string(node_idx) +
                                      " outside the description");
     }
-    if (engine.filters_by_node_[node_idx] != nullptr) {
+    if (engine.nodes_[node_idx].filter != nullptr) {
       return Status::InvalidArgument(
           "node '" + md.nodes()[node_idx].label +
           "' has more than one pushed filter (conjoin them instead)");
     }
     MAD_RETURN_IF_ERROR(adopt(program));
-    engine.filters_by_node_[node_idx] = program;
+    engine.nodes_[node_idx].filter = program;
   }
   if (options.residual != nullptr) {
     MAD_RETURN_IF_ERROR(adopt(options.residual));
   }
-
-  engine.root_index_ = std::move(dense[engine.root_node_]);
   return engine;
+}
+
+const Atom* DerivationEngine::FindAtom(const Node& node, AtomId id) const {
+  return node.pinned ? node.store->FindVersionAt(id, *options_.view)
+                     : node.store->Find(id);
 }
 
 // ---- Per-worker scratch ---------------------------------------------------
 
-/// Epoch-stamped scratch, one instance per worker thread: sized once to the
-/// snapshot's occurrence sizes, then reused across every root without
-/// clearing — stale entries are dead because their stamp differs from the
-/// current epoch/token.
+/// Per-worker scratch, reused across every root. Everything is sized to the
+/// molecules derived so far and reset sparsely per molecule, in time
+/// proportional to the molecule, so no O(|occurrence|) state exists.
 struct DerivationEngine::Workspace {
+  /// One distinct partner atom reached in a node during this molecule.
+  struct Candidate {
+    AtomId id;
+    const Atom* row = nullptr;  // nullptr: not in the node's occurrence
+    uint32_t last_edge = 0;     // 1 + last in-edge that reached it
+    uint32_t hits = 0;          // in-edges that reached it
+    bool contained = false;
+  };
   struct NodeScratch {
-    std::vector<uint64_t> edge_token;    // last (epoch, edge) that saw the atom
-    std::vector<uint64_t> hit_epoch;     // epoch of first discovery
-    std::vector<uint32_t> hit_count;     // in-edges that reached it this epoch
-    std::vector<uint64_t> member_epoch;  // epoch when accepted as contained
-    std::vector<uint32_t> group;         // contained atoms, derivation order
-    std::vector<uint32_t> order;         // candidate discovery order
+    std::vector<Candidate> candidates;  // discovery order
+    std::vector<uint32_t> group;        // contained candidates, in order
+    /// AtomId -> candidates position, built once a second parent reaches
+    /// the node (one parent's partners are distinct).
+    IdMap index;
+    bool indexed = false;
+
+    /// Sparse reset: erases only this molecule's ids from the index.
+    void Reset() {
+      if (indexed) {
+        for (const Candidate& c : candidates) index.Erase(c.id.value);
+      }
+      indexed = false;
+      candidates.clear();
+      group.clear();
+    }
+  };
+  /// Per description edge, the partners each contained parent reached, as
+  /// candidate positions of the edge's target node: parent k of the
+  /// from-group spans targets[offsets[k] .. offsets[k+1]). Replayed by the
+  /// link-recording pass so the stores are walked once per molecule.
+  struct EdgeScratch {
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> targets;
   };
   std::vector<NodeScratch> nodes;
-  uint64_t epoch = 0;
+  std::vector<EdgeScratch> edges;
+  std::vector<AtomId> partners;  // PartnersAt result buffer
   size_t atoms_visited = 0;
   size_t links_scanned = 0;
   size_t rejected = 0;
   // Pushed-qualification state: one span per description node (published as
-  // each group completes), dense-row buffers for looped nodes, and the
-  // reusable program scratch. All empty when no filters are pushed.
+  // each group completes), row buffers for looped nodes, and the reusable
+  // program scratch. All empty when no filters are pushed.
   std::vector<expr::CompiledPredicate::AtomSpan> spans;
   std::vector<std::vector<const Atom*>> row_buf;
   expr::CompiledPredicate::Scratch scratch;
 };
-
-DerivationEngine::Workspace DerivationEngine::MakeWorkspace() const {
-  Workspace ws;
-  ws.nodes.resize(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const size_t occ = nodes_[i].ids.size();
-    ws.nodes[i].edge_token.assign(occ, 0);
-    ws.nodes[i].hit_epoch.assign(occ, 0);
-    ws.nodes[i].hit_count.assign(occ, 0);
-    ws.nodes[i].member_epoch.assign(occ, 0);
-  }
-  if (filtering_) {
-    ws.spans.resize(nodes_.size());
-    ws.row_buf.resize(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (needs_rows_[i]) ws.row_buf[i].reserve(nodes_[i].ids.size());
-    }
-  }
-  return ws;
-}
 
 // ---- Derivation of one molecule (Def. 6) ----------------------------------
 
 /// Publishes a completed group to the pushed-qualification spans and runs
 /// the node's filter, if any. Returns false to reject the molecule. Called
 /// only when filtering: the span array always reflects every group
-/// completed so far this epoch (a program for node i references only node
-/// i, and the residual runs when all groups are complete).
+/// completed so far for this molecule (a program for node i references only
+/// node i, and the residual runs when all groups are complete).
 Result<bool> DerivationEngine::CompleteNode(size_t node_idx,
                                             Workspace& ws) const {
   expr::CompiledPredicate::AtomSpan& span = ws.spans[node_idx];
-  const std::vector<uint32_t>& group = ws.nodes[node_idx].group;
-  span.size = group.size();
-  if (needs_rows_[node_idx]) {
+  const Workspace::NodeScratch& ns = ws.nodes[node_idx];
+  span.size = ns.group.size();
+  const Node& node = nodes_[node_idx];
+  if (node.needs_rows) {
     std::vector<const Atom*>& buf = ws.row_buf[node_idx];
     buf.clear();
-    const std::vector<const Atom*>& rows = nodes_[node_idx].rows;
-    for (uint32_t member : group) buf.push_back(rows[member]);
+    for (uint32_t member : ns.group) buf.push_back(ns.candidates[member].row);
     span.data = buf.data();
   }
-  const expr::CompiledPredicate* filter = filters_by_node_[node_idx];
-  if (filter == nullptr) return true;
-  return filter->Eval(ws.spans.data(), ws.scratch);
+  if (node.filter == nullptr) return true;
+  return node.filter->Eval(ws.spans.data(), ws.scratch);
 }
 
 /// Grows the maximal molecule for one root atom (the `contained`/`total`
 /// semantics of Def. 6). Nodes are processed in topological order, so every
 /// parent group is complete before its children are computed; an atom joins
 /// a node's group iff it has a contained parent through *every* incoming
-/// directed link type (conjunctive ∀-semantics). The loop runs entirely on
-/// dense indexes over the frozen CSR snapshot: no hashing, no lookups.
+/// directed link type (conjunctive ∀-semantics). Only the partner lists of
+/// contained atoms are read, so the cost follows the molecule, not the
+/// database.
 ///
 /// Pushed filters run as each group completes — a subtree that cannot
 /// qualify is pruned before its descendants expand — and the residual
 /// program runs before materialization. Rejections return nullopt.
 Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
-    uint32_t root_dense, Workspace& ws) const {
-  const uint64_t epoch = ++ws.epoch;
-  const uint64_t token_base = epoch * edges_.size();
-  for (Workspace::NodeScratch& ns : ws.nodes) ns.group.clear();
+    const Atom* root, Workspace& ws) const {
+  if (ws.nodes.empty()) {
+    ws.nodes.resize(nodes_.size());
+    ws.edges.resize(edges_.size());
+    if (filtering_) {
+      ws.spans.resize(nodes_.size());
+      ws.row_buf.resize(nodes_.size());
+    }
+  }
+  for (Workspace::NodeScratch& ns : ws.nodes) ns.Reset();
   if (filtering_) {
     for (expr::CompiledPredicate::AtomSpan& span : ws.spans) {
       span = expr::CompiledPredicate::AtomSpan{};
@@ -231,8 +199,9 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
   }
 
   Workspace::NodeScratch& root_scratch = ws.nodes[root_node_];
-  root_scratch.group.push_back(root_dense);
-  root_scratch.member_epoch[root_dense] = epoch;
+  root_scratch.candidates.push_back(
+      Workspace::Candidate{root->id, root, 0, 0, true});
+  root_scratch.group.push_back(0);
   ws.atoms_visited += 1;
   if (filtering_) {
     MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(root_node_, ws));
@@ -245,35 +214,58 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
   for (size_t oi = 1; oi < node_order_.size(); ++oi) {
     const size_t node_idx = node_order_[oi];
     Workspace::NodeScratch& ns = ws.nodes[node_idx];
-    const std::vector<uint32_t>& ins = in_edges_[node_idx];
-    ns.order.clear();
+    const Node& node = nodes_[node_idx];
+    const std::vector<uint32_t>& ins = node.in_edges;
 
     for (uint32_t edge_idx : ins) {
-      const uint64_t token = token_base + edge_idx;
-      const EdgeSnapshot& edge = edges_[edge_idx];
-      for (uint32_t parent : ws.nodes[edge.from_node].group) {
-        const size_t row_begin = edge.offsets[parent];
-        const size_t row_end = edge.offsets[parent + 1];
-        ws.links_scanned += row_end - row_begin;
-        for (size_t k = row_begin; k < row_end; ++k) {
-          const uint32_t target = edge.targets[k];
-          if (ns.edge_token[target] == token) continue;  // dedup per edge
-          ns.edge_token[target] = token;
-          if (ns.hit_epoch[target] != epoch) {
-            ns.hit_epoch[target] = epoch;
-            ns.hit_count[target] = 1;
-            ns.order.push_back(target);
-          } else {
-            ++ns.hit_count[target];
-          }
+      const Edge& edge = edges_[edge_idx];
+      const Workspace::NodeScratch& from = ws.nodes[edge.from_node];
+      Workspace::EdgeScratch& es = ws.edges[edge_idx];
+      es.offsets.assign(1, 0);
+      es.targets.clear();
+      for (uint32_t parent : from.group) {
+        const AtomId parent_id = from.candidates[parent].id;
+        if (edge.pinned) {
+          ws.partners =
+              edge.store->PartnersAt(parent_id, edge.direction, *options_.view);
         }
+        const std::vector<AtomId>& partners =
+            edge.pinned ? ws.partners
+                        : edge.store->Partners(parent_id, edge.direction);
+        if (!ns.indexed && !ns.candidates.empty()) {
+          for (size_t i = 0; i < ns.candidates.size(); ++i) {
+            ns.index.Assign(ns.candidates[i].id.value, i);
+          }
+          ns.indexed = true;
+        }
+        for (AtomId partner : partners) {
+          bool inserted = true;
+          const uint32_t pos = static_cast<uint32_t>(
+              ns.indexed ? ns.index.FindOrInsert(
+                               partner.value, ns.candidates.size(), &inserted)
+                         : ns.candidates.size());
+          if (inserted) {
+            ns.candidates.push_back(Workspace::Candidate{
+                partner, FindAtom(node, partner), 0, 0, false});
+          }
+          Workspace::Candidate& c = ns.candidates[pos];
+          if (c.row == nullptr) continue;  // not in this node's occurrence
+          es.targets.push_back(pos);
+          if (c.last_edge == edge_idx + 1) continue;  // dedup per edge
+          c.last_edge = edge_idx + 1;
+          ++c.hits;
+        }
+        es.offsets.push_back(static_cast<uint32_t>(es.targets.size()));
       }
+      ws.links_scanned += es.targets.size();
     }
-    ws.atoms_visited += ns.order.size();
-    for (uint32_t candidate : ns.order) {
-      if (ns.hit_count[candidate] == ins.size()) {
-        ns.group.push_back(candidate);
-        ns.member_epoch[candidate] = epoch;
+    for (uint32_t pos = 0; pos < ns.candidates.size(); ++pos) {
+      Workspace::Candidate& c = ns.candidates[pos];
+      if (c.row == nullptr) continue;
+      ++ws.atoms_visited;
+      if (c.hits == ins.size()) {
+        c.contained = true;
+        ns.group.push_back(pos);
       }
     }
     if (filtering_) {
@@ -294,31 +286,32 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
     }
   }
 
-  Molecule m(nodes_[root_node_].ids[root_dense], nodes_.size());
+  Molecule m(root->id, nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Workspace::NodeScratch& ns = ws.nodes[i];
     std::vector<AtomId>& out = m.MutableAtomsOf(i);
-    out.reserve(ws.nodes[i].group.size());
-    for (uint32_t member : ws.nodes[i].group) {
-      out.push_back(nodes_[i].ids[member]);
-    }
+    out.reserve(ns.group.size());
+    for (uint32_t member : ns.group) out.push_back(ns.candidates[member].id);
   }
 
   // Record the molecule's links g: every underlying link between contained
-  // atoms along a description edge.
+  // atoms along a description edge, replayed from the discovery pass.
+  size_t link_bound = 0;
+  for (const Workspace::EdgeScratch& es : ws.edges) {
+    link_bound += es.targets.size();
+  }
+  m.ReserveLinks(link_bound);
   for (size_t edge_idx = 0; edge_idx < edges_.size(); ++edge_idx) {
-    const EdgeSnapshot& edge = edges_[edge_idx];
-    const Workspace::NodeScratch& to_scratch = ws.nodes[edge.to_node];
-    const std::vector<AtomId>& from_ids = nodes_[edge.from_node].ids;
-    const std::vector<AtomId>& to_ids = nodes_[edge.to_node].ids;
-    for (uint32_t parent : ws.nodes[edge.from_node].group) {
-      const size_t row_begin = edge.offsets[parent];
-      const size_t row_end = edge.offsets[parent + 1];
-      ws.links_scanned += row_end - row_begin;
-      for (size_t k = row_begin; k < row_end; ++k) {
-        const uint32_t target = edge.targets[k];
-        if (to_scratch.member_epoch[target] == epoch) {
-          m.AddLink(MoleculeLink{edge_idx, from_ids[parent], to_ids[target]});
-        }
+    const Edge& edge = edges_[edge_idx];
+    const Workspace::EdgeScratch& es = ws.edges[edge_idx];
+    const Workspace::NodeScratch& from = ws.nodes[edge.from_node];
+    const Workspace::NodeScratch& to = ws.nodes[edge.to_node];
+    ws.links_scanned += es.targets.size();
+    for (size_t k = 0; k < from.group.size(); ++k) {
+      const AtomId parent_id = from.candidates[from.group[k]].id;
+      for (uint32_t t = es.offsets[k]; t < es.offsets[k + 1]; ++t) {
+        const Workspace::Candidate& c = to.candidates[es.targets[t]];
+        if (c.contained) m.AddLink(MoleculeLink{edge_idx, parent_id, c.id});
       }
     }
   }
@@ -328,7 +321,7 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
 // ---- Parallel fan-out -----------------------------------------------------
 
 Result<std::vector<Molecule>> DerivationEngine::FanOut(
-    const std::vector<uint32_t>& roots, DerivationStats* stats) const {
+    const std::vector<const Atom*>& roots, DerivationStats* stats) const {
   unsigned parallelism = options_.parallelism != 0
                              ? options_.parallelism
                              : ThreadPool::DefaultParallelism();
@@ -344,11 +337,7 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
 
   const auto start = std::chrono::steady_clock::now();
 
-  std::vector<Workspace> workspaces;
-  workspaces.reserve(parallelism);
-  for (unsigned w = 0; w < parallelism; ++w) {
-    workspaces.push_back(MakeWorkspace());
-  }
+  std::vector<Workspace> workspaces(parallelism);
 
   // Pre-sized slots keyed by root position: whatever thread derives slot i,
   // the output order is root order — bit-for-bit identical to a serial run.
@@ -440,10 +429,11 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
     DerivationStats* stats) const {
-  std::vector<uint32_t> roots(root_count());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    roots[i] = static_cast<uint32_t>(i);
-  }
+  const Node& root = nodes_[root_node_];
+  if (root.pinned) return FanOut(root.store->SnapshotAt(*options_.view), stats);
+  std::vector<const Atom*> roots;
+  roots.reserve(root.store->size());
+  for (const Atom& atom : root.store->atoms()) roots.push_back(&atom);
   return FanOut(roots, stats);
 }
 
@@ -451,38 +441,38 @@ Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
     const std::vector<AtomId>& roots, DerivationStats* stats) const {
   // Validate every root before deriving anything, and report all offenders
   // in one message instead of failing at the first mid-loop.
-  std::vector<uint32_t> dense_roots;
-  dense_roots.reserve(roots.size());
+  std::vector<const Atom*> rows;
+  rows.reserve(roots.size());
   std::string bad;
   size_t bad_count = 0;
   for (AtomId root : roots) {
-    auto it = root_index_.find(root);
-    if (it == root_index_.end()) {
+    const Atom* row = FindAtom(nodes_[root_node_], root);
+    if (row == nullptr) {
       if (!bad.empty()) bad += ", ";
       bad += "#" + std::to_string(root.value);
       ++bad_count;
       continue;
     }
-    dense_roots.push_back(it->second);
+    rows.push_back(row);
   }
   if (bad_count > 0) {
     return Status::NotFound(
         (bad_count == 1 ? "atom " + bad + " is" : "atoms " + bad + " are") +
         " not in root atom type '" + root_type_name_ + "'");
   }
-  return FanOut(dense_roots, stats);
+  return FanOut(rows, stats);
 }
 
 Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
                                              DerivationStats* stats) const {
-  auto it = root_index_.find(root);
-  if (it == root_index_.end()) {
+  const Atom* row = FindAtom(nodes_[root_node_], root);
+  if (row == nullptr) {
     return Status::NotFound("atom #" + std::to_string(root.value) +
                             " is not in root atom type '" + root_type_name_ +
                             "'");
   }
-  Workspace ws = MakeWorkspace();
-  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(it->second, ws));
+  Workspace ws;
+  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(row, ws));
   if (!m.has_value()) {
     return Status::NotFound("molecule #" + std::to_string(root.value) +
                             " was rejected by pushed-down qualification");

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,44 +44,46 @@ struct DerivationOptions {
   /// groups inside the fan-out, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
   // The compiled programs are borrowed and must outlive every derive call.
-  /// Epoch pin: when set, Create() freezes the snapshot from the versions
-  /// visible at this view instead of the head (DESIGN.md §11). Pushed
-  /// programs must then be compiled with the same view. nullopt keeps the
-  /// historical zero-cost head path bit-for-bit.
+  /// Epoch pin: when set, derivation reads the versions visible at this
+  /// view instead of the head (DESIGN.md §11). Pushed programs must then be
+  /// compiled with the same view. nullopt keeps the zero-cost head path.
   std::optional<ReadView> view;
 };
 
 /// The derivation engine behind m_dom (Def. 6): a molecule description
-/// resolved against one database into a *frozen snapshot* — per description
-/// edge a CSR-style adjacency array (offsets + dense target indexes built
-/// once from the LinkStore), per node a dense-index <-> AtomId mapping.
-/// The *structural* derivation loop never reads the database after
-/// Create(): it does zero hashing and zero name lookups, answering from the
-/// snapshot even if the database mutates. Pushed-down predicate programs
-/// are the one exception — their dense `const Atom*` rows point into the
-/// atom stores, so filtered derivation additionally requires that the
-/// database is not mutated between Create() and the derive call (the same
-/// contract CompiledPredicate itself carries; build a new engine after
-/// mutations, which σ and the MQL session do anyway).
+/// resolved against one database — store pointers, topological node order,
+/// in-edges and pushed filters, O(|description|) to build. Each molecule is
+/// then grown by walking the stores directly from its own root
+/// (LinkStore::Partners for each contained parent, AtomStore::Find for
+/// membership and filter rows; the PartnersAt/FindVersionAt twins when a
+/// view is pinned behind the head), so deriving one molecule costs about
+/// one molecule, whatever the database size.
+///
+/// Lock contract: the engine borrows the stores. From Create() to the last
+/// derive call the caller holds the database's shared lock (the MQL session
+/// does, for the whole statement) or is the only thread touching the
+/// database, and nothing mutates it in between. Build a new engine after
+/// mutations. Pushed predicate programs carry the same contract.
 ///
 /// Derivation fans out over root atoms on a shared worker pool; each worker
-/// owns an epoch-stamped scratch workspace so no per-root allocation or
-/// clearing is needed, and results are written into per-root slots so the
-/// output order never depends on thread scheduling.
+/// owns a scratch workspace keyed by AtomId, sized to the molecule and
+/// reset sparsely after each one, and results are written into per-root
+/// slots so the output order never depends on thread scheduling.
 class DerivationEngine {
  public:
-  /// Resolves `md` against `db` and freezes the adjacency snapshot.
+  /// Resolves `md` against `db`; reads no atom or link.
   static Result<DerivationEngine> Create(const Database& db,
                                          const MoleculeDescription& md,
                                          DerivationOptions options = {});
 
-  /// One molecule per root-atom-type atom, in occurrence order. Molecules
-  /// rejected by pushed filters are omitted (the survivors keep occurrence
-  /// order and are bit-identical to derive-then-restrict).
+  /// One molecule per root-atom-type atom, in occurrence order (read at
+  /// call time). Molecules rejected by pushed filters are omitted (the
+  /// survivors keep occurrence order and are bit-identical to
+  /// derive-then-restrict).
   Result<std::vector<Molecule>> DeriveAll(DerivationStats* stats = nullptr) const;
 
   /// Molecules for exactly `roots`, in the given order (filter rejections
-  /// omitted). Every root is validated against the snapshot up front;
+  /// omitted). Every root is validated against the root store up front;
   /// invalid ids are reported together in one NotFound status.
   Result<std::vector<Molecule>> DeriveForRoots(
       const std::vector<AtomId>& roots, DerivationStats* stats = nullptr) const;
@@ -90,57 +91,48 @@ class DerivationEngine {
   /// The single molecule rooted at `root`.
   Result<Molecule> DeriveFor(AtomId root, DerivationStats* stats = nullptr) const;
 
-  /// Number of atoms of the root atom type in the snapshot.
-  size_t root_count() const { return nodes_[root_node_].ids.size(); }
-
  private:
-  struct NodeSnapshot {
-    /// Dense index -> atom id, in atom-type occurrence order.
-    std::vector<AtomId> ids;
-    /// Dense index -> atom row in the store (same order as `ids`): pushed
-    /// predicate programs read attribute values by index with no per-atom
-    /// hashing. Borrowed from the store — see the mutation contract above.
-    std::vector<const Atom*> rows;
+  /// One description node resolved against its atom store.
+  struct Node {
+    const AtomStore* store = nullptr;
+    /// The view differs from the head here: reads go through FindVersionAt.
+    bool pinned = false;
+    std::vector<uint32_t> in_edges;  // description edge indexes
+    /// options_.node_filters entry for this node, or nullptr.
+    const expr::CompiledPredicate* filter = nullptr;
+    /// Some program's binding loops read this node's rows.
+    bool needs_rows = false;
   };
-  /// One directed description edge as a CSR adjacency over dense indexes:
-  /// row r (an atom of `from_node`, occurrence order) spans
-  /// targets[offsets[r] .. offsets[r+1]), each entry the dense index of a
-  /// partner atom of `to_node`. Row order preserves LinkStore::Partners
-  /// order, which keeps the engine's output identical to the historical
-  /// per-hop-lookup engine.
-  struct EdgeSnapshot {
+  /// One directed description edge resolved against its link store.
+  struct Edge {
     size_t from_node = 0;
     size_t to_node = 0;
-    std::vector<size_t> offsets;
-    std::vector<uint32_t> targets;
+    const LinkStore* store = nullptr;
+    LinkDirection direction = LinkDirection::kForward;
+    bool pinned = false;  // reads go through PartnersAt
   };
   struct Workspace;
 
   DerivationEngine() = default;
 
+  /// The version of `id` in `node`'s store visible to this engine, or
+  /// nullptr when the atom is not in the node's occurrence.
+  const Atom* FindAtom(const Node& node, AtomId id) const;
   /// Derives the molecule for one root; nullopt when a pushed filter or the
   /// residual program rejected it, an error status when a program failed to
   /// evaluate.
-  Result<std::optional<Molecule>> DeriveOne(uint32_t root_dense,
+  Result<std::optional<Molecule>> DeriveOne(const Atom* root,
                                             Workspace& ws) const;
   Result<bool> CompleteNode(size_t node_idx, Workspace& ws) const;
-  Workspace MakeWorkspace() const;
-  Result<std::vector<Molecule>> FanOut(const std::vector<uint32_t>& roots,
+  Result<std::vector<Molecule>> FanOut(const std::vector<const Atom*>& roots,
                                        DerivationStats* stats) const;
 
   DerivationOptions options_;
-  /// Per description node: options_.node_filters rearranged to node order
-  /// (nullptr = unfiltered), plus which nodes need dense rows published for
-  /// the binding loops of any program.
-  std::vector<const expr::CompiledPredicate*> filters_by_node_;
-  std::vector<bool> needs_rows_;
   bool filtering_ = false;
-  std::vector<NodeSnapshot> nodes_;
-  std::vector<EdgeSnapshot> edges_;
+  std::vector<Node> nodes_;
+  std::vector<Edge> edges_;
   std::vector<size_t> node_order_;  // node indexes in topo order, root first
   size_t root_node_ = 0;
-  std::vector<std::vector<uint32_t>> in_edges_;  // per node: edge indexes
-  std::unordered_map<AtomId, uint32_t> root_index_;  // root id -> dense index
   std::string root_type_name_;  // for error messages
 };
 

@@ -53,6 +53,7 @@ class Molecule {
 
   const std::vector<MoleculeLink>& links() const { return links_; }
   void AddLink(MoleculeLink link) { links_.push_back(link); }
+  void ReserveLinks(size_t n) { links_.reserve(n); }
 
   /// Order-insensitive fingerprint used for set semantics in Ω, Δ, Ψ and
   /// for dedup. Stable across molecules built in different atom orders.

@@ -63,8 +63,8 @@ struct DerivationStats {
   /// Candidate atoms examined across all molecules (first discoveries per
   /// node, root slots included).
   size_t atoms_visited = 0;
-  /// Adjacency entries scanned in the frozen CSR snapshot, over both the
-  /// candidate-collection and the link-recording passes.
+  /// Partner-list entries read (partners in the target node's occurrence),
+  /// over both the candidate-collection and the link-recording passes.
   size_t links_scanned = 0;
   /// Molecules discarded inside the fan-out by pushed-down qualification
   /// (per-node filters or the residual program) before materialization.
@@ -72,7 +72,7 @@ struct DerivationStats {
   size_t molecules_rejected = 0;
   /// Worker threads the fan-out was allowed to use (caller included).
   unsigned threads_used = 1;
-  /// End-to-end wall time of the derivation fan-out, snapshot build
+  /// End-to-end wall time of the derivation fan-out, engine set-up
   /// excluded. The only nondeterministic field.
   double wall_ms = 0.0;
 };

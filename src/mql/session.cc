@@ -411,14 +411,27 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
   if (options_.enable_root_pushdown && stmt.where != nullptr) {
     MAD_ASSIGN_OR_RETURN(PushdownPlan plan,
                          PlanPredicatePushdown(*db_, *md, stmt.where));
+    // The index mirrors the head, so root seeding only applies when the
+    // head IS the pinned view (no concurrent pending versions on the root
+    // store).
+    MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
+                         db_->GetAtomType(md->root_node().type_name));
+    if (plan.seed.has_value() && !root_at->occurrence().HeadVisibleAt(view)) {
+      plan.seed.reset();
+    }
     // The programs live on this frame; the engine borrows them only for
-    // the derive call below.
+    // the derive call below. An index-seeded statement derives only the
+    // seeded molecules, so its programs run scalar: a batch leaf would
+    // sweep its whole column on first use.
+    const expr::CompiledPredicate::BatchMode mode =
+        plan.seed.has_value() ? expr::CompiledPredicate::BatchMode::kScalar
+                              : expr::CompiledPredicate::BatchMode::kAuto;
     std::vector<expr::CompiledPredicate> programs;
     programs.reserve(plan.node_filters.size() + 1);
     for (const NodeFilter& filter : plan.node_filters) {
-      MAD_ASSIGN_OR_RETURN(
-          expr::CompiledPredicate program,
-          expr::CompiledPredicate::Compile(*db_, *md, filter.predicate, view));
+      MAD_ASSIGN_OR_RETURN(expr::CompiledPredicate program,
+                           expr::CompiledPredicate::Compile(
+                               *db_, *md, filter.predicate, view, mode));
       programs.push_back(std::move(program));
     }
     for (size_t i = 0; i < plan.node_filters.size(); ++i) {
@@ -426,9 +439,9 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
                                       &programs[i]);
     }
     if (plan.residual != nullptr) {
-      MAD_ASSIGN_OR_RETURN(
-          expr::CompiledPredicate residual_program,
-          expr::CompiledPredicate::Compile(*db_, *md, plan.residual, view));
+      MAD_ASSIGN_OR_RETURN(expr::CompiledPredicate residual_program,
+                           expr::CompiledPredicate::Compile(
+                               *db_, *md, plan.residual, view, mode));
       programs.push_back(std::move(residual_program));
       dopts.residual = &programs.back();
     }
@@ -437,18 +450,9 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
     // Root seeding: take the index bucket instead of scanning the whole
     // occurrence. Bucket order is index insertion order, which diverges
     // from occurrence order after updates, so restore occurrence order —
-    // seeded derivation stays bit-identical to the unseeded scan. The
-    // index mirrors the head, so seeding only applies when the head IS the
-    // pinned view (no concurrent pending versions on the root store).
+    // seeded derivation stays bit-identical to the unseeded scan.
     std::optional<std::vector<AtomId>> seeded;
     if (plan.seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
-      if (!root_at->occurrence().HeadVisibleAt(view)) plan.seed.reset();
-    }
-    if (plan.seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
       ScopedSpan seed_span("index-seed",
                            md->root_node().type_name + "." +
                                plan.seed->attribute + " = " +
@@ -479,8 +483,6 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
     // occurrence order by construction, so seeded derivation stays
     // bit-identical to the unseeded scan.
     if (!seeded.has_value() && plan.scan_seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
       const AtomStore& store = root_at->occurrence();
       const ColumnSet& columns = store.columns();
       const Column* column = columns.column(plan.scan_seed->value_slot);
@@ -776,11 +778,17 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
       Result<PushdownPlan> pushed =
           PlanPredicatePushdown(*db_, *md, select.where);
       if (pushed.ok()) {
+        // Same execution mode as RunSelect: index-seeded plans run scalar.
+        const expr::CompiledPredicate::BatchMode mode =
+            pushed->seed.has_value()
+                ? expr::CompiledPredicate::BatchMode::kScalar
+                : expr::CompiledPredicate::BatchMode::kAuto;
         for (const NodeFilter& filter : pushed->node_filters) {
           plan += "  push-down[" + md->nodes()[filter.node_index].label +
                   "]: " + filter.predicate->ToString();
           Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, filter.predicate);
+              expr::CompiledPredicate::Compile(*db_, *md, filter.predicate,
+                                               std::nullopt, mode);
           if (program.ok()) plan += "   -- compiled: " + program->Summary();
           plan += "\n";
         }
@@ -797,7 +805,8 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
         if (pushed->residual != nullptr) {
           plan += "  residual: " + pushed->residual->ToString();
           Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, pushed->residual);
+              expr::CompiledPredicate::Compile(*db_, *md, pushed->residual,
+                                               std::nullopt, mode);
           if (program.ok()) plan += "   -- compiled: " + program->Summary();
           plan += "\n";
         }

@@ -4,13 +4,13 @@
 #include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/atom.h"
 #include "core/schema.h"
 #include "storage/column.h"
 #include "storage/version.h"
+#include "util/id_map.h"
 #include "util/result.h"
 #include "util/sync.h"
 
@@ -83,14 +83,24 @@ class AtomStore {
   /// (created and deleted in the same transaction): it exists at no epoch.
   void DropArchived(ArchiveHandle handle);
 
+  /// Moves the head versions of `ids` behind every other head version,
+  /// keeping their relative order, and gives them fresh seqs. Commit calls
+  /// this for a transaction's new versions: they then sit where WAL replay,
+  /// which applies transactions in commit order, re-creates them. Absent
+  /// ids are ignored.
+  void MoveToBack(const std::vector<AtomId>& ids);
+
   /// Reclaims every archived version invisible to all readers at or after
   /// `horizon` (committed delete_epoch <= horizon). Returns the count.
   size_t ReclaimBefore(uint64_t horizon);
 
-  bool Contains(AtomId id) const { return by_id_.count(id) > 0; }
+  bool Contains(AtomId id) const { return by_id_.Find(id.value) != nullptr; }
 
   /// Pointer into the store, or nullptr if absent. Invalidated by mutation.
-  const Atom* Find(AtomId id) const;
+  const Atom* Find(AtomId id) const {
+    const uint64_t* pos = by_id_.Find(id.value);
+    return pos == nullptr ? nullptr : &atoms_[*pos];
+  }
 
   // --- Epoch-pinned reads --------------------------------------------------
 
@@ -116,18 +126,18 @@ class AtomStore {
 
   /// Create stamp of the head version of `id`; nullopt if absent.
   std::optional<uint64_t> CreateEpochOf(AtomId id) const {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return std::nullopt;
-    return meta_[it->second].create_epoch;
+    const uint64_t* pos = by_id_.Find(id.value);
+    if (pos == nullptr) return std::nullopt;
+    return meta_[*pos].create_epoch;
   }
 
   /// Insertion-order position of `id`, or nullopt if absent. Lets callers
   /// that collected ids out of order (e.g. from an AttributeIndex bucket)
   /// restore occurrence order deterministically.
   std::optional<size_t> PositionOf(AtomId id) const {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return std::nullopt;
-    return it->second;
+    const uint64_t* pos = by_id_.Find(id.value);
+    if (pos == nullptr) return std::nullopt;
+    return static_cast<size_t>(*pos);
   }
 
   size_t size() const { return atoms_.size(); }
@@ -139,6 +149,7 @@ class AtomStore {
     atoms_.reserve(n);
     meta_.reserve(n);
     columns_.Reserve(n);
+    by_id_.Reserve(n);
   }
 
   /// Atoms in insertion order (the head — see class comment).
@@ -176,7 +187,7 @@ class AtomStore {
   std::vector<Atom> atoms_;
   std::vector<VersionMeta> meta_;  // parallel to atoms_, seq ascending
   ColumnSet columns_;              // column-major mirror of atoms_
-  std::unordered_map<AtomId, size_t> by_id_;
+  IdMap by_id_;  // id.value -> head position
   std::list<ArchivedAtom> archived_;
   uint64_t next_seq_ = 1;
   /// Head == snapshot for every epoch >= clean_epoch_ (given no pending).

@@ -275,7 +275,7 @@ Result<std::string> SerializeDatabaseBinary(const Database& db) {
     links.PutVarint(db.link_type_count());
     for (const LinkType* lt : db.link_types()) {
       links.PutVarint(lt->occurrence().size());
-      for (const Link& link : lt->occurrence().links()) {
+      for (const Link& link : lt->occurrence().LinksInSeqOrder()) {
         links.PutVarint(link.first.value);
         links.PutVarint(link.second.value);
       }

@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <map>
 
 namespace mad {
 
@@ -749,14 +750,23 @@ void Database::CommitTransaction(Transaction& txn) {
   txn.open_ = false;
   if (!txn.undo_.empty()) {
     const uint64_t commit_epoch = NextEpochLocked();
+    // The transaction's surviving head versions, per store. They were
+    // appended at write time, but WAL replay applies whole transactions in
+    // commit order; moving them behind every other version at commit keeps
+    // the live head and partner order equal to the recovered one.
+    std::map<AtomStore*, std::vector<AtomId>> new_atoms;
+    std::map<LinkStore*, std::vector<Link>> new_links;
     for (const Transaction::UndoOp& op : txn.undo_) {
       switch (op.kind) {
         case Transaction::UndoOp::Kind::kInsertAtom: {
           // No-op if this insert was superseded later in the same
           // transaction (the archived entry then carries both stamps).
-          atom_types_.at(op.type_name)
-              ->mutable_occurrence()
-              .RestampCreate(op.id, commit_epoch);
+          AtomStore& store =
+              atom_types_.at(op.type_name)->mutable_occurrence();
+          if (store.CreateEpochOf(op.id) == txn.self_stamp_) {
+            new_atoms[&store].push_back(op.id);
+          }
+          store.RestampCreate(op.id, commit_epoch);
           break;
         }
         case Transaction::UndoOp::Kind::kDeleteAtom: {
@@ -771,9 +781,13 @@ void Database::CommitTransaction(Transaction& txn) {
           break;
         }
         case Transaction::UndoOp::Kind::kInsertLink: {
-          link_types_.at(op.type_name)
-              ->mutable_occurrence()
-              .RestampCreate(op.link.first, op.link.second, commit_epoch);
+          LinkStore& links =
+              link_types_.at(op.type_name)->mutable_occurrence();
+          if (links.CreateEpochOf(op.link.first, op.link.second) ==
+              txn.self_stamp_) {
+            new_links[&links].push_back(op.link);
+          }
+          links.RestampCreate(op.link.first, op.link.second, commit_epoch);
           break;
         }
         case Transaction::UndoOp::Kind::kEraseLink: {
@@ -787,6 +801,8 @@ void Database::CommitTransaction(Transaction& txn) {
         }
       }
     }
+    for (auto& [store, ids] : new_atoms) store->MoveToBack(ids);
+    for (auto& [links, moved] : new_links) links->MoveToBack(moved);
     PublishEpochLocked(commit_epoch);
     // Fire the buffered notifications in application order, each to every
     // listener in installation order — the same interleaving an autocommit

@@ -4,8 +4,9 @@
 
 namespace mad {
 
+const std::vector<AtomId> LinkStore::kNoPartners;
+
 namespace {
-const std::vector<AtomId> kNoPartners;
 
 /// Removes the first occurrence of `id`, preserving the relative order of
 /// the remaining entries (the Partners() ordering guarantee).
@@ -142,6 +143,26 @@ void LinkStore::DropArchived(ArchiveHandle handle) {
   archived_.erase(handle);
 }
 
+void LinkStore::MoveToBack(const std::vector<Link>& links) {
+  std::vector<std::pair<uint64_t, Link>> ordered;
+  ordered.reserve(links.size());
+  for (const Link& link : links) {
+    auto it = index_.find(link);
+    if (it != index_.end()) ordered.emplace_back(it->second.seq, link);
+  }
+  std::sort(ordered.begin(), ordered.end());
+  ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
+  for (const auto& [seq, link] : ordered) {
+    index_[link].seq = next_seq_++;
+    std::vector<AtomId>& seconds = forward_[link.first];
+    RemoveOne(seconds, link.second);
+    seconds.push_back(link.second);
+    std::vector<AtomId>& firsts = backward_[link.second];
+    RemoveOne(firsts, link.first);
+    firsts.push_back(link.first);
+  }
+}
+
 size_t LinkStore::ReclaimBefore(uint64_t horizon) {
   size_t reclaimed = 0;
   for (auto it = archived_.begin(); it != archived_.end();) {
@@ -158,28 +179,26 @@ size_t LinkStore::ReclaimBefore(uint64_t horizon) {
 size_t LinkStore::EraseAllOf(AtomId atom) {
   size_t erased = 0;
   // Links with `atom` in the first role (reflexive self-links included).
-  auto fit = forward_.find(atom);
-  if (fit != forward_.end()) {
-    for (AtomId second : fit->second) {
+  if (std::vector<AtomId>* seconds = forward_.Find(atom)) {
+    for (AtomId second : *seconds) {
       LinkInfo info = EraseFromLinks(Link{atom, second});
       if (IsPendingEpoch(info.create_epoch)) --pending_count_;
       if (second != atom) RemoveOne(backward_[second], atom);
       ++erased;
     }
-    forward_.erase(fit);
+    *seconds = std::vector<AtomId>();
   }
   // Links with `atom` in the second role; self-links were handled above and
   // their backward entry dies with the wholesale erase below.
-  auto bit = backward_.find(atom);
-  if (bit != backward_.end()) {
-    for (AtomId first : bit->second) {
+  if (std::vector<AtomId>* firsts = backward_.Find(atom)) {
+    for (AtomId first : *firsts) {
       if (first == atom) continue;
       LinkInfo info = EraseFromLinks(Link{first, atom});
       if (IsPendingEpoch(info.create_epoch)) --pending_count_;
       RemoveOne(forward_[first], atom);
       ++erased;
     }
-    backward_.erase(bit);
+    *firsts = std::vector<AtomId>();
   }
   return erased;
 }
@@ -189,9 +208,7 @@ size_t LinkStore::ArchiveAllOf(AtomId atom, uint64_t delete_epoch,
   size_t archived = 0;
   // Archive() mutates the partner lists we would iterate, so work on copies.
   std::vector<AtomId> seconds;
-  if (auto fit = forward_.find(atom); fit != forward_.end()) {
-    seconds = fit->second;
-  }
+  if (const std::vector<AtomId>* list = forward_.Find(atom)) seconds = *list;
   for (AtomId second : seconds) {
     auto handle = Archive(atom, second, delete_epoch);
     if (!handle.ok()) continue;
@@ -199,9 +216,7 @@ size_t LinkStore::ArchiveAllOf(AtomId atom, uint64_t delete_epoch,
     ++archived;
   }
   std::vector<AtomId> firsts;
-  if (auto bit = backward_.find(atom); bit != backward_.end()) {
-    firsts = bit->second;
-  }
+  if (const std::vector<AtomId>* list = backward_.Find(atom)) firsts = *list;
   for (AtomId first : firsts) {
     if (first == atom) continue;  // self-links were archived above
     auto handle = Archive(first, atom, delete_epoch);
@@ -212,17 +227,19 @@ size_t LinkStore::ArchiveAllOf(AtomId atom, uint64_t delete_epoch,
   return archived;
 }
 
-bool LinkStore::Contains(AtomId first, AtomId second) const {
-  return index_.count(Link{first, second}) > 0;
+std::vector<Link> LinkStore::LinksInSeqOrder() const {
+  std::vector<std::pair<uint64_t, Link>> keyed;
+  keyed.reserve(links_.size());
+  for (const Link& link : links_) keyed.emplace_back(index_.at(link).seq, link);
+  std::sort(keyed.begin(), keyed.end());  // seqs are unique
+  std::vector<Link> ordered;
+  ordered.reserve(keyed.size());
+  for (const auto& [seq, link] : keyed) ordered.push_back(link);
+  return ordered;
 }
 
-const std::vector<AtomId>& LinkStore::Partners(AtomId atom,
-                                               LinkDirection direction) const {
-  const auto& index =
-      direction == LinkDirection::kForward ? forward_ : backward_;
-  auto it = index.find(atom);
-  if (it == index.end()) return kNoPartners;
-  return it->second;
+bool LinkStore::Contains(AtomId first, AtomId second) const {
+  return index_.count(Link{first, second}) > 0;
 }
 
 bool LinkStore::ContainsAt(AtomId first, AtomId second,
@@ -248,9 +265,9 @@ std::vector<AtomId> LinkStore::PartnersAt(AtomId atom, LinkDirection direction,
   if (HeadVisibleAt(view)) return Partners(atom, direction);
   const bool forward = direction == LinkDirection::kForward;
   std::vector<std::pair<uint64_t, AtomId>> ordered;
-  const auto& index = forward ? forward_ : backward_;
-  if (auto it = index.find(atom); it != index.end()) {
-    for (AtomId partner : it->second) {
+  if (const std::vector<AtomId>* list =
+          (forward ? forward_ : backward_).Find(atom)) {
+    for (AtomId partner : *list) {
       Link link = forward ? Link{atom, partner} : Link{partner, atom};
       const LinkInfo& info = index_.at(link);
       if (VisibleAt(info.create_epoch, kNeverDeleted, view)) {

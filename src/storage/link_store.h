@@ -11,6 +11,7 @@
 
 #include "core/atom.h"
 #include "storage/version.h"
+#include "util/id_map.h"
 #include "util/result.h"
 #include "util/sync.h"
 
@@ -90,6 +91,12 @@ class LinkStore {
   /// Drops an archived link whose committed interval came out empty.
   void DropArchived(ArchiveHandle handle);
 
+  /// Moves each live link of `links` to the back of both its partner lists
+  /// and gives it a fresh seq, oldest link first — the partner order WAL
+  /// replay re-creates when it applies a committed transaction's inserts.
+  /// Absent links are ignored.
+  void MoveToBack(const std::vector<Link>& links);
+
   /// Reclaims archived links with committed delete_epoch <= horizon.
   size_t ReclaimBefore(uint64_t horizon);
 
@@ -111,7 +118,12 @@ class LinkStore {
   /// `atom` is matched against the first role, for kBackward against the
   /// second. Partners appear in link-insertion order (see class comment).
   const std::vector<AtomId>& Partners(AtomId atom,
-                                      LinkDirection direction) const;
+                                      LinkDirection direction) const {
+    const std::vector<AtomId>* list =
+        (direction == LinkDirection::kForward ? forward_ : backward_)
+            .Find(atom);
+    return list == nullptr ? kNoPartners : *list;
+  }
 
   // --- Epoch-pinned reads --------------------------------------------------
 
@@ -140,6 +152,10 @@ class LinkStore {
 
   /// All live links, in storage order (see class comment).
   const std::vector<Link>& links() const { return links_; }
+
+  /// All live links in link-insertion (seq) order. Inserting them in this
+  /// order rebuilds every partner list exactly, so checkpoints write it.
+  std::vector<Link> LinksInSeqOrder() const;
 
   const std::list<ArchivedLink>& archived() const { return archived_; }
   size_t archived_count() const { return archived_.size(); }
@@ -175,14 +191,41 @@ class LinkStore {
     if (epoch > clean_epoch_) clean_epoch_ = epoch;
   }
 
+  static const std::vector<AtomId> kNoPartners;
+
   /// See AtomStore::AssertOwnerSharedHeld. Runtime no-op.
   void AssertOwnerSharedHeld() const MAD_ASSERT_SHARED_CAPABILITY(owner_mu_) {}
 
   const SharedMutex* owner_mu_ = nullptr;
   std::vector<Link> links_;
   std::unordered_map<Link, LinkInfo, LinkHash> index_;
-  std::unordered_map<AtomId, std::vector<AtomId>> forward_;
-  std::unordered_map<AtomId, std::vector<AtomId>> backward_;
+  /// Partner lists keyed by atom id: one open-addressing probe finds an
+  /// atom's list. A list emptied by erasure keeps its slot, reused if the
+  /// atom links again.
+  class Adjacency {
+   public:
+    std::vector<AtomId>& operator[](AtomId atom) {
+      bool inserted = false;
+      const uint64_t slot =
+          slot_.FindOrInsert(atom.value, lists_.size(), &inserted);
+      if (inserted) lists_.emplace_back();
+      return lists_[slot];
+    }
+    const std::vector<AtomId>* Find(AtomId atom) const {
+      const uint64_t* slot = slot_.Find(atom.value);
+      return slot == nullptr ? nullptr : &lists_[*slot];
+    }
+    std::vector<AtomId>* Find(AtomId atom) {
+      const uint64_t* slot = slot_.Find(atom.value);
+      return slot == nullptr ? nullptr : &lists_[*slot];
+    }
+
+   private:
+    IdMap slot_;
+    std::vector<std::vector<AtomId>> lists_;
+  };
+  Adjacency forward_;
+  Adjacency backward_;
   std::list<ArchivedLink> archived_;
   uint64_t next_seq_ = 1;
   uint64_t clean_epoch_ = 0;

@@ -180,7 +180,7 @@ Status WriteDatabase(const Database& db, std::ostream& out) {
         << PercentEncode(lt->first_atom_type()) << " "
         << PercentEncode(lt->second_atom_type()) << " "
         << LinkCardinalityName(lt->cardinality()) << "\n";
-    for (const Link& link : lt->occurrence().links()) {
+    for (const Link& link : lt->occurrence().LinksInSeqOrder()) {
       out << "LINK " << link.first.value << " " << link.second.value << "\n";
     }
   }

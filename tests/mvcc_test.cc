@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "storage/database.h"
+#include "storage/durable_database.h"
+#include "storage/serializer.h"
 
 namespace mad {
 namespace {
@@ -328,6 +332,108 @@ TEST_F(MvccTest, TransactionDeleteCascadesAndRollsBackLinks) {
   EXPECT_TRUE(Compositions().Contains(*engine, *piston));
   EXPECT_TRUE(Compositions().Contains(*engine, *valve));
   EXPECT_TRUE(db_.CheckConsistency().ok());
+}
+
+/// Head atom order with each atom's forward partners: what derivation root
+/// order and link order depend on.
+std::string HeadOrder(const Database& db) {
+  std::string out;
+  const AtomStore& parts = (*db.GetAtomType("part"))->occurrence();
+  const LinkStore& links = (*db.GetLinkType("composition"))->occurrence();
+  for (const Atom& atom : parts.atoms()) {
+    out += atom.values[0].AsString() + "(";
+    for (AtomId child : links.Partners(atom.id, LinkDirection::kForward)) {
+      out += std::to_string(child.value) + ",";
+    }
+    out += ") ";
+  }
+  return out;
+}
+
+// Interleaved transactions append their versions at write time, but WAL
+// replay applies each transaction whole, in commit order. Commit therefore
+// moves a transaction's new atoms and links behind everything committed
+// before it, so a reopened database lists atoms and partners in the live
+// order (derivation root order and link order depend on both).
+TEST(MvccRecoveryOrderTest, InterleavedCommitsReopenInLiveOrder) {
+  const std::string dir = ::testing::TempDir() + "mvcc_recovery_order";
+  std::filesystem::remove_all(dir);
+  std::string live;
+  {
+    auto durable = DurableDatabase::Open(dir, {});
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    Database& db = (*durable)->database();
+    ASSERT_TRUE(db.DefineAtomType("part", NamedSchema()).ok());
+    ASSERT_TRUE(db.DefineLinkType("composition", "part", "part").ok());
+    auto hub = db.InsertAtom("part", {Value("hub")});
+    auto old = db.InsertAtom("part", {Value("old")});
+    ASSERT_TRUE(hub.ok() && old.ok());
+
+    // t1 writes first and commits last.
+    std::unique_ptr<Transaction> t1 = db.Begin();
+    std::unique_ptr<Transaction> t2 = db.Begin();
+    auto a = db.InsertAtom("part", {Value("a")}, t1.get());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(db.InsertLink("composition", *hub, *a, t1.get()).ok());
+    ASSERT_TRUE(db.UpdateAtom("part", *old, {Value("old2")}, t1.get()).ok());
+    auto b = db.InsertAtom("part", {Value("b")}, t2.get());
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(db.InsertLink("composition", *hub, *b, t2.get()).ok());
+    ASSERT_TRUE(t2->Commit().ok());
+    ASSERT_TRUE(t1->Commit().ok());
+
+    live = HeadOrder(db);
+    EXPECT_EQ(live, "hub(" + std::to_string(b->value) + "," +
+                        std::to_string(a->value) + ",) b() a() old2() ");
+    EXPECT_TRUE(db.CheckConsistency().ok());
+    ASSERT_TRUE((*durable)->Flush().ok());
+  }
+  auto reopened = DurableDatabase::Open(dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(HeadOrder((*reopened)->database()), live);
+  reopened->reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Erasing a link swap-and-pops LinkStore's link vector, so its storage
+// order drifts from partner-list order. Checkpoints (binary and text) write
+// links in insertion order instead, and a reloaded database lists partners
+// exactly as the live one did.
+TEST(MvccRecoveryOrderTest, CheckpointKeepsPartnerOrderAfterErasures) {
+  const std::string dir = ::testing::TempDir() + "mvcc_checkpoint_order";
+  std::filesystem::remove_all(dir);
+  std::string live;
+  std::string text;
+  {
+    auto durable = DurableDatabase::Open(dir, {});
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    Database& db = (*durable)->database();
+    ASSERT_TRUE(db.DefineAtomType("part", NamedSchema()).ok());
+    ASSERT_TRUE(db.DefineLinkType("composition", "part", "part").ok());
+    std::vector<AtomId> ids;
+    for (const char* name : {"hub", "w", "x", "y", "z"}) {
+      auto id = db.InsertAtom("part", {Value(name)});
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (size_t i = 1; i < ids.size(); ++i) {
+      ASSERT_TRUE(db.InsertLink("composition", ids[0], ids[i]).ok());
+    }
+    ASSERT_TRUE(db.EraseLink("composition", ids[0], ids[1]).ok());
+    live = HeadOrder(db);
+    ASSERT_TRUE((*durable)->Checkpoint().ok());
+    auto image = SerializeDatabase(db);
+    ASSERT_TRUE(image.ok()) << image.status();
+    text = *image;
+  }
+  auto reopened = DurableDatabase::Open(dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(HeadOrder((*reopened)->database()), live);
+  auto from_text = DeserializeDatabase(text);
+  ASSERT_TRUE(from_text.ok()) << from_text.status();
+  EXPECT_EQ(HeadOrder(**from_text), live);
+  reopened->reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

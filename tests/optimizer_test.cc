@@ -279,6 +279,29 @@ TEST_F(OptimizerTest, IndexSeedNarrowsTheFanOut) {
   EXPECT_EQ(result->derivation->molecules_rejected, 0u);
 }
 
+// An index-seeded statement derives only the seeded molecules, so its
+// pushed programs compile scalar: a batch leaf would sweep the whole root
+// column on first use. Without a matching index the same filter runs batch.
+TEST_F(OptimizerTest, IndexSeededStatementsCompileScalar) {
+  Session session(&db_);
+  const std::string explain =
+      "EXPLAIN SELECT ALL FROM m(state-area-edge-point) "
+      "WHERE state.name = 'SP' AND state.hectare > 0;";
+  auto unseeded = session.Execute(explain);
+  ASSERT_TRUE(unseeded.ok()) << unseeded.status();
+  EXPECT_EQ(unseeded->message.find("seed-index"), std::string::npos);
+  EXPECT_NE(unseeded->message.find("batch["), std::string::npos)
+      << unseeded->message;
+
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  auto seeded = session.Execute(explain);
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  EXPECT_NE(seeded->message.find("seed-index"), std::string::npos);
+  EXPECT_EQ(seeded->message.find("batch["), std::string::npos)
+      << seeded->message;
+  EXPECT_NE(seeded->message.find(", scalar"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace mql
 }  // namespace mad
