@@ -96,7 +96,6 @@ expr::ExprPtr AndAll(const std::vector<expr::ExprPtr>& conjuncts) {
 /// node and an AttributeIndex on the root atom type.
 std::optional<IndexSeed> MatchIndexSeed(const Database& db,
                                         const MoleculeDescription& md,
-                                        size_t root_idx,
                                         const expr::Expr& conjunct) {
   if (conjunct.kind() != expr::Expr::Kind::kCompare ||
       conjunct.compare_op() != expr::CompareOp::kEq) {
@@ -111,7 +110,6 @@ std::optional<IndexSeed> MatchIndexSeed(const Database& db,
   }
   // The conjunct was already classified to the root node, so the reference
   // is known to bind there; only the index lookup can still fail.
-  (void)root_idx;
   const AttributeIndex* index =
       db.FindIndex(md.root_node().type_name, attr->attribute());
   if (index == nullptr) return std::nullopt;
@@ -184,9 +182,6 @@ Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
     if (nodes.size() == 1) {
       const size_t node_idx = nodes[0];
       per_node[node_idx].push_back(conjunct);
-      if (node_idx == root_idx && !plan.seed.has_value()) {
-        plan.seed = MatchIndexSeed(db, md, root_idx, *conjunct);
-      }
     } else {
       // Constants (no references) and multi-node conjuncts.
       residual_side.push_back(conjunct);
@@ -200,13 +195,13 @@ Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
     plan.node_filters.push_back(std::move(filter));
   }
   plan.residual = AndAll(residual_side);
-  // Columnar scan seed: only the root filter's FIRST conjunct is safe to
-  // pre-filter on (see ScanSeed), and only when no index seed matched.
-  if (!plan.seed.has_value()) {
-    auto root_group = per_node.find(root_idx);
-    if (root_group != per_node.end() && !root_group->second.empty()) {
-      plan.scan_seed = MatchScanSeed(db, md, *root_group->second.front());
-    }
+  // Root seeds: only the root filter's FIRST conjunct is safe to pre-filter
+  // on (see ScanSeed); the columnar scan seed only when no index matched.
+  auto root_group = per_node.find(root_idx);
+  if (root_group != per_node.end()) {
+    const expr::Expr& first = *root_group->second.front();
+    plan.seed = MatchIndexSeed(db, md, first);
+    if (!plan.seed.has_value()) plan.scan_seed = MatchScanSeed(db, md, first);
   }
   return plan;
 }

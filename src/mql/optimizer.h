@@ -26,7 +26,8 @@ struct NodeFilter {
 
 /// A root equality conjunct `root.attr = literal` matched against an
 /// existing AttributeIndex: derivation seeds its root set from the index
-/// bucket instead of scanning the whole occurrence. The root's node filter
+/// bucket instead of scanning the whole occurrence. Only the *first* root
+/// conjunct qualifies, for the reason ScanSeed gives. The root's node filter
 /// still verifies the conjunct, so the seed only narrows the fan-out.
 struct IndexSeed {
   const AttributeIndex* index = nullptr;
@@ -63,7 +64,7 @@ struct PushdownPlan {
   /// Conjuncts needing more than one node (plus constants), AND-joined in
   /// original order; null when everything was pushed.
   expr::ExprPtr residual;
-  /// Root-index seed, when a usable equality conjunct exists.
+  /// Root-index seed, when the first root conjunct is a usable equality.
   std::optional<IndexSeed> seed;
   /// Columnar whole-store scan seed; used only when `seed` is absent (an
   /// index bucket beats a full-column scan).

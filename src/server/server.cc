@@ -38,8 +38,9 @@ uint64_t ElapsedUs(Clock::time_point since) {
 }  // namespace
 
 /// Per-connection state. The reader thread owns fd reads and the decoder;
-/// executor threads own `session` (the strand invariant — at most one
-/// executor runs a given connection at a time — makes that single-threaded);
+/// whichever thread runs the strand — an executor, or the reader inline —
+/// owns `session` (the strand invariant — at most one thread runs a given
+/// connection at a time — makes that single-threaded);
 /// `write_mu` serializes frame writes from either side. Queue fields are
 /// guarded by the server's exec_mu_ (see the *Locked helpers).
 struct MadServer::Connection {
@@ -99,6 +100,8 @@ MadServer::MadServer(Database* db, ServerOptions options,
       statements_ok_(&Registry::Global().GetCounter("server.statements_ok")),
       statements_error_(
           &Registry::Global().GetCounter("server.statements_error")),
+      statements_inline_(
+          &Registry::Global().GetCounter("server.statements_inline")),
       shed_busy_(&Registry::Global().GetCounter("server.shed_busy")),
       protocol_errors_(
           &Registry::Global().GetCounter("server.protocol_errors")),
@@ -210,6 +213,7 @@ void MadServer::AcceptLoop() {
 
 void MadServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   FrameDecoder decoder;
+  std::vector<Message> batch;
   char buf[16 * 1024];
   Clock::time_point last_activity = Clock::now();
   while (!conn->dead.load() && running_.load()) {
@@ -232,24 +236,35 @@ void MadServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     last_activity = Clock::now();
     bytes_read_->Add(static_cast<uint64_t>(n));
     decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    // Decode the whole read first: only its last complete frame may run
+    // inline, so a pipelined burst still reaches the executors.
+    batch.clear();
+    Status decode_error;
     while (true) {
       Message message;
       Result<bool> got = decoder.Next(&message);
       if (!got.ok()) {
-        protocol_errors_->Increment();
-        CloseConnection(conn, "protocol error: " + got.status().message(),
-                        /*send_bye=*/true);
+        decode_error = got.status();
         break;
       }
       if (!*got) break;
-      HandleMessage(conn, message);
+      batch.push_back(std::move(message));
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      HandleMessage(conn, batch[i],
+                    decode_error.ok() && i + 1 == batch.size());
+    }
+    if (!decode_error.ok()) {
+      protocol_errors_->Increment();
+      CloseConnection(conn, "protocol error: " + decode_error.message(),
+                      /*send_bye=*/true);
     }
   }
   conn->reader_done.store(true);
 }
 
 void MadServer::HandleMessage(const std::shared_ptr<Connection>& conn,
-                              const Message& message) {
+                              const Message& message, bool last_in_batch) {
   if (conn->dead.load()) return;
   if (!conn->hello_done.load()) {
     if (message.type != MessageType::kHello) {
@@ -298,9 +313,19 @@ void MadServer::HandleMessage(const std::shared_ptr<Connection>& conn,
     }
     case MessageType::kQuery: {
       const char* shed_reason = nullptr;
+      bool run_inline = false;
       {
         MutexLock lock(exec_mu_);
-        shed_reason = TryAdmitLocked(conn, message.request_id, message.text);
+        shed_reason = TryAdmitLocked(conn, message.request_id, message.text,
+                                     last_in_batch, &run_inline);
+      }
+      if (run_inline) {
+        // A closed-loop statement: run it here rather than pay a hand-off to
+        // an executor. The reader reads this connection's next frame only
+        // after the reply.
+        statements_inline_->Increment();
+        ExecuteOne(conn, /*on_reader=*/true);
+        return;
       }
       if (shed_reason != nullptr) {
         shed_busy_->Increment();
@@ -328,21 +353,26 @@ void MadServer::ExecutorLoop() {
     std::shared_ptr<Connection> conn;
     {
       MutexLock lock(exec_mu_);
-      while (runnable_.empty() && running_.load()) exec_cv_.Wait(exec_mu_);
-      if (runnable_.empty()) {
+      while ((runnable_.empty() || executing_ >= options_.executor_threads) &&
+             running_.load()) {
+        exec_cv_.Wait(exec_mu_);
+      }
+      if (runnable_.empty() || executing_ >= options_.executor_threads) {
         if (!running_.load()) return;
         continue;
       }
+      ++executing_;
       conn = std::move(runnable_.front());
       runnable_.pop_front();
     }
-    ExecuteOne(conn);
+    ExecuteOne(conn, /*on_reader=*/false);
   }
 }
 
 const char* MadServer::TryAdmitLocked(const std::shared_ptr<Connection>& conn,
                                       uint64_t request_id,
-                                      const std::string& text) {
+                                      const std::string& text, bool may_inline,
+                                      bool* run_inline) {
   size_t in_flight = conn->queue.size() + (conn->running ? 1 : 0);
   if (draining_.load()) return "server is draining";
   if (conn->goodbye.load()) return "connection said GOODBYE";
@@ -356,17 +386,36 @@ const char* MadServer::TryAdmitLocked(const std::shared_ptr<Connection>& conn,
   ++global_inflight_;
   conn->queue_depth->Set(static_cast<int64_t>(conn->queue.size()));
   if (!conn->scheduled && !conn->running) {
-    conn->scheduled = true;
-    runnable_.push_back(conn);
-    exec_cv_.NotifyOne();
+    // Inline only while the pool is idle: no strand waits for a slot (it
+    // would be starved) and no executor is busy. Once the pool is working
+    // (more connections than slots), a slot a reader held would sit idle
+    // until a sleeping executor woke for the queued work, while a busy
+    // executor takes the next strand without sleeping.
+    if (may_inline && runnable_.empty() && executing_ == executing_inline_ &&
+        executing_ < options_.executor_threads) {
+      ++executing_;
+      ++executing_inline_;
+      conn->running = true;
+      *run_inline = true;
+    } else {
+      conn->scheduled = true;
+      runnable_.push_back(conn);
+      // With every slot taken, the slot's release wakes an executor.
+      if (executing_ < options_.executor_threads) exec_cv_.NotifyOne();
+    }
   }
   return nullptr;
 }
 
-bool MadServer::DequeueLocked(Connection& conn, uint64_t* request_id,
-                              std::string* text) {
+bool MadServer::DequeueLocked(Connection& conn, bool on_reader,
+                              uint64_t* request_id, std::string* text) {
   conn.scheduled = false;
-  if (conn.queue.empty()) return false;  // closed underneath us
+  if (conn.queue.empty()) {  // closed underneath us
+    conn.running = false;
+    --executing_;
+    if (on_reader) --executing_inline_;
+    return false;
+  }
   conn.running = true;
   *request_id = conn.queue.front().first;
   *text = std::move(conn.queue.front().second);
@@ -376,9 +425,11 @@ bool MadServer::DequeueLocked(Connection& conn, uint64_t* request_id,
 }
 
 bool MadServer::FinishStatementLocked(
-    const std::shared_ptr<Connection>& conn) {
+    const std::shared_ptr<Connection>& conn, bool on_reader) {
   conn->running = false;
   --global_inflight_;
+  --executing_;
+  if (on_reader) --executing_inline_;
   drained_cv_.NotifyAll();
   if (!conn->queue.empty() && !conn->scheduled) {
     conn->scheduled = true;
@@ -386,6 +437,9 @@ bool MadServer::FinishStatementLocked(
     exec_cv_.NotifyOne();
     return false;
   }
+  // A strand may be waiting for the slot this reader freed; an executor
+  // instead takes the next strand itself when it loops.
+  if (on_reader && !runnable_.empty()) exec_cv_.NotifyOne();
   return conn->queue.empty() && conn->goodbye.load();
 }
 
@@ -394,12 +448,13 @@ bool MadServer::NoteGoodbyeLocked(Connection& conn) {
   return conn.queue.empty() && !conn.running;
 }
 
-void MadServer::ExecuteOne(const std::shared_ptr<Connection>& conn) {
+void MadServer::ExecuteOne(const std::shared_ptr<Connection>& conn,
+                           bool on_reader) {
   uint64_t request_id = 0;
   std::string text;
   {
     MutexLock lock(exec_mu_);
-    if (!DequeueLocked(*conn, &request_id, &text)) return;
+    if (!DequeueLocked(*conn, on_reader, &request_id, &text)) return;
   }
 
   if (!conn->dead.load()) {
@@ -410,7 +465,7 @@ void MadServer::ExecuteOne(const std::shared_ptr<Connection>& conn) {
   bool close_after_drain = false;
   {
     MutexLock lock(exec_mu_);
-    close_after_drain = FinishStatementLocked(conn);
+    close_after_drain = FinishStatementLocked(conn, on_reader);
   }
   if (close_after_drain) {
     CloseConnection(conn, "goodbye", /*send_bye=*/true);
@@ -505,6 +560,7 @@ ServerStats MadServer::stats() const {
                                 : connections_active_->value());
   stats.statements_ok = statements_ok_->value();
   stats.statements_error = statements_error_->value();
+  stats.statements_inline = statements_inline_->value();
   stats.shed_busy = shed_busy_->value();
   stats.protocol_errors = protocol_errors_->value();
   return stats;

@@ -27,9 +27,11 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Worker threads executing statements. Each connection is a strand (its
-  /// statements run one at a time, in arrival order), so more threads only
-  /// help across connections. 0 = hardware concurrency, capped at 8.
+  /// Worker threads executing statements, and the cap on statements
+  /// executing at once (a statement a reader runs inline takes one of these
+  /// slots too). Each connection is a strand (its statements run one at a
+  /// time, in arrival order), so more threads only help across connections.
+  /// 0 = hardware concurrency, capped at 8.
   size_t executor_threads = 0;
   /// Admission control: a connection may have at most this many statements
   /// queued + running; the next QUERY is shed with BUSY.
@@ -54,6 +56,9 @@ struct ServerStats {
   uint64_t connections_active = 0;
   uint64_t statements_ok = 0;
   uint64_t statements_error = 0;
+  /// Statements the connection's reader thread ran itself (see
+  /// MadServer::HandleMessage); counted in statements_ok/error as well.
+  uint64_t statements_inline = 0;
   uint64_t shed_busy = 0;
   uint64_t protocol_errors = 0;
 };
@@ -67,9 +72,12 @@ struct ServerStats {
 /// (poll + FrameDecoder, answers PING inline, enqueues QUERY); a shared
 /// executor pool running connections as strands — a connection's statements
 /// execute one at a time in arrival order, different connections execute
-/// concurrently. Responses carry the client's request id, so a pipelining
-/// client can keep many statements in flight; BUSY sheds are sent from the
-/// reader thread and may overtake earlier results.
+/// concurrently, and at most `executor_threads` execute at once. A
+/// closed-loop QUERY (the last frame of its read, its strand idle, the pool
+/// idle) runs on the reader thread itself instead of being handed to the
+/// pool. Responses carry the client's request id, so a pipelining client can
+/// keep many statements in flight; BUSY sheds are sent from the reader
+/// thread and may overtake earlier results.
 ///
 /// Shutdown() drains gracefully: stop accepting, stop reading, finish every
 /// admitted statement, roll back open transactions (Session destructors),
@@ -104,10 +112,15 @@ class MadServer {
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void ExecutorLoop() MAD_EXCLUDES(exec_mu_);
   /// Handles one decoded client message; called on the reader thread.
+  /// `last_in_batch`: no further complete frame was read with this one, so
+  /// an admitted QUERY may run inline (see TryAdmitLocked).
   void HandleMessage(const std::shared_ptr<Connection>& conn,
-                     const Message& message) MAD_EXCLUDES(exec_mu_);
-  /// Runs the next queued statement of `conn`; called on an executor thread.
-  void ExecuteOne(const std::shared_ptr<Connection>& conn)
+                     const Message& message, bool last_in_batch)
+      MAD_EXCLUDES(exec_mu_);
+  /// Runs the next queued statement of `conn` in the execution slot its
+  /// caller claimed: on an executor thread, or (`on_reader`) inline on the
+  /// connection's reader thread.
+  void ExecuteOne(const std::shared_ptr<Connection>& conn, bool on_reader)
       MAD_EXCLUDES(exec_mu_);
   /// Executes one statement text on the connection's session and renders
   /// the response message.
@@ -129,17 +142,25 @@ class MadServer {
   // annotated helpers instead; nothing else may touch those fields).
 
   /// Admission control + enqueue for one QUERY. Returns nullptr when
-  /// admitted (scheduling the strand if idle), else the shed reason.
+  /// admitted, else the shed reason. An admitted statement on an idle
+  /// strand is scheduled on the executors — unless `may_inline`, a slot is
+  /// free and the pool is idle (no strand scheduled, no executor busy):
+  /// then the strand is marked running in that slot and *run_inline is set,
+  /// and the caller must run it with ExecuteOne.
   const char* TryAdmitLocked(const std::shared_ptr<Connection>& conn,
-                             uint64_t request_id, const std::string& text)
+                             uint64_t request_id, const std::string& text,
+                             bool may_inline, bool* run_inline)
       MAD_REQUIRES(exec_mu_);
   /// Pops the next statement of `conn`'s strand and marks it running.
-  /// False when the queue emptied underneath the scheduler.
-  bool DequeueLocked(Connection& conn, uint64_t* request_id, std::string* text)
-      MAD_REQUIRES(exec_mu_);
-  /// Marks the statement finished, reschedules the strand if more work is
-  /// queued; true when the connection should close (drained after GOODBYE).
-  bool FinishStatementLocked(const std::shared_ptr<Connection>& conn)
+  /// False when the queue emptied underneath the scheduler (the execution
+  /// slot is then released).
+  bool DequeueLocked(Connection& conn, bool on_reader, uint64_t* request_id,
+                     std::string* text) MAD_REQUIRES(exec_mu_);
+  /// Marks the statement finished and releases its execution slot,
+  /// reschedules the strand if more work is queued; true when the
+  /// connection should close (drained after GOODBYE).
+  bool FinishStatementLocked(const std::shared_ptr<Connection>& conn,
+                             bool on_reader)
       MAD_REQUIRES(exec_mu_);
   /// Records a GOODBYE; true when the strand is already drained and the
   /// connection should close immediately.
@@ -158,9 +179,9 @@ class MadServer {
   std::vector<std::thread> executors_;
 
   /// Admission/queue mutex: guards the runnable deque, the global in-flight
-  /// count, and every Connection's queue/scheduled/running fields (via the
-  /// *Locked helpers above). Leaf lock next to the storage locks; never
-  /// held across statement execution or a socket write.
+  /// and executing counts, and every Connection's queue/scheduled/running
+  /// fields (via the *Locked helpers above). Leaf lock next to the storage
+  /// locks; never held across statement execution or a socket write.
   Mutex exec_mu_;
   CondVar exec_cv_;
   // Executor queue: connections with runnable statements. A connection is
@@ -168,6 +189,11 @@ class MadServer {
   std::deque<std::shared_ptr<Connection>> runnable_ MAD_GUARDED_BY(exec_mu_);
   /// Statements admitted (queued or running) across all connections.
   size_t global_inflight_ MAD_GUARDED_BY(exec_mu_) = 0;
+  /// Execution slots taken: statements running on executors or inline on
+  /// readers. Never exceeds options_.executor_threads.
+  size_t executing_ MAD_GUARDED_BY(exec_mu_) = 0;
+  /// The part of executing_ running inline on readers.
+  size_t executing_inline_ MAD_GUARDED_BY(exec_mu_) = 0;
   /// Signalled whenever global_inflight_ drops; Shutdown waits on it.
   CondVar drained_cv_;
 
@@ -181,6 +207,7 @@ class MadServer {
   Gauge* connections_active_;
   Counter* statements_ok_;
   Counter* statements_error_;
+  Counter* statements_inline_;
   Counter* shed_busy_;
   Counter* protocol_errors_;
   Counter* bytes_read_;

@@ -624,15 +624,19 @@ Status Database::InsertLinkLocked(const std::string& lname, AtomId first,
                        GetAtomType(lt->second_atom_type()));
   const ReadView view =
       txn != nullptr ? txn->view() : ReadView{current_epoch(), 0};
-  if (!at1->occurrence().ContainsAt(first, view)) {
-    return Status::ConstraintViolation(
-        "link '" + lname + "': atom #" + std::to_string(first.value) +
-        " is not in atom type '" + lt->first_atom_type() + "'");
-  }
-  if (!at2->occurrence().ContainsAt(second, view)) {
-    return Status::ConstraintViolation(
-        "link '" + lname + "': atom #" + std::to_string(second.value) +
-        " is not in atom type '" + lt->second_atom_type() + "'");
+  for (const auto& [at, id] : {std::pair{at1, first}, std::pair{at2, second}}) {
+    if (!at->occurrence().ContainsAt(id, view)) {
+      return Status::ConstraintViolation(
+          "link '" + lname + "': atom #" + std::to_string(id.value) +
+          " is not in atom type '" + at->name() + "'");
+    }
+    // First writer wins: an endpoint the view sees but the head no longer
+    // holds is being deleted (or was, after this snapshot) by another
+    // transaction, and linking to it would dangle once both commit.
+    if (at->occurrence().Find(id) == nullptr) {
+      return WriteConflict(AtomRef(at->name(), id) +
+                           " was deleted by a concurrent transaction");
+    }
   }
   LinkStore& links = lt->mutable_occurrence();
   if (auto create = links.CreateEpochOf(first, second); create.has_value()) {

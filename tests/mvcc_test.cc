@@ -221,6 +221,51 @@ TEST_F(MvccTest, ConflictOnLinksAndReinsertion) {
   EXPECT_TRUE(db_.CheckConsistency().ok());
 }
 
+// A link to an atom another transaction is deleting would dangle once both
+// commit, so whichever write comes second conflicts — in either order, and
+// for either endpoint.
+TEST_F(MvccTest, LinkToAConcurrentlyDeletedAtomConflicts) {
+  auto engine = db_.InsertAtom("part", {Value("engine")});
+  auto piston = db_.InsertAtom("part", {Value("piston")});
+  auto valve = db_.InsertAtom("part", {Value("valve")});
+  ASSERT_TRUE(engine.ok() && piston.ok() && valve.ok());
+
+  // Delete first, link second: the linker still sees the atom at its
+  // snapshot, but the delete is pending.
+  {
+    std::unique_ptr<Transaction> deleter = db_.Begin();
+    std::unique_ptr<Transaction> linker = db_.Begin();
+    ASSERT_TRUE(db_.DeleteAtom("part", *piston, deleter.get()).ok());
+    Status s = db_.InsertLink("composition", *engine, *piston, linker.get());
+    EXPECT_TRUE(Database::IsWriteConflict(s)) << s;
+    s = db_.InsertLink("composition", *piston, *valve, linker.get());
+    EXPECT_TRUE(Database::IsWriteConflict(s)) << s;
+    // An autocommit linker conflicts with the pending delete as well.
+    s = db_.InsertLink("composition", *valve, *piston);
+    EXPECT_TRUE(Database::IsWriteConflict(s)) << s;
+    // Committed after the linker's snapshot: still a conflict.
+    ASSERT_TRUE(deleter->Commit().ok());
+    s = db_.InsertLink("composition", *engine, *piston, linker.get());
+    EXPECT_TRUE(Database::IsWriteConflict(s)) << s;
+    ASSERT_TRUE(linker->Commit().ok());
+    EXPECT_TRUE(db_.CheckConsistency().ok()) << db_.CheckConsistency();
+  }
+
+  // Link first, delete second: the pending link dooms the delete.
+  {
+    std::unique_ptr<Transaction> linker = db_.Begin();
+    std::unique_ptr<Transaction> deleter = db_.Begin();
+    ASSERT_TRUE(
+        db_.InsertLink("composition", *engine, *valve, linker.get()).ok());
+    Status s = db_.DeleteAtom("part", *valve, deleter.get());
+    EXPECT_TRUE(Database::IsWriteConflict(s)) << s;
+    ASSERT_TRUE(linker->Commit().ok());
+    ASSERT_TRUE(deleter->Commit().ok());
+    EXPECT_TRUE(db_.CheckConsistency().ok()) << db_.CheckConsistency();
+    EXPECT_TRUE(Compositions().Contains(*engine, *valve));
+  }
+}
+
 TEST_F(MvccTest, ReclaimHonorsPinsAndFreesAfterRelease) {
   auto engine = db_.InsertAtom("part", {Value("engine")});
   ASSERT_TRUE(engine.ok());

@@ -264,6 +264,35 @@ TEST_F(OptimizerTest, ScanSeedSkippedWhenFirstRootConjunctErrors) {
   EXPECT_EQ(result.status().message(), expected.status().message());
 }
 
+TEST_F(OptimizerTest, IndexSeedOnALaterConjunctCannotHideAnError) {
+  // AND short-circuits left to right, so only the first root conjunct may
+  // narrow the roots: seeding from the later `name` equality would skip the
+  // hectare-0 state whose first conjunct divides by zero.
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  Session writer(&db_);
+  ASSERT_TRUE(writer.Execute("INSERT INTO state VALUES ('ZERO', 0);").ok());
+  const std::string query =
+      "SELECT ALL FROM m(state-area-edge-point) "
+      "WHERE 10 / state.hectare > 1 AND state.name = 'zz';";
+  SessionOptions off;
+  off.enable_root_pushdown = false;
+  Session plain(&db_, off);
+  auto expected = plain.Execute(query);
+  ASSERT_FALSE(expected.ok());
+  Session session(&db_);
+  auto result = session.Execute(query);
+  ASSERT_FALSE(result.ok()) << "the seeded path hid: " << expected.status();
+  EXPECT_EQ(result.status().code(), expected.status().code());
+  EXPECT_EQ(result.status().message(), expected.status().message());
+
+  auto plan = PlanPredicatePushdown(
+      db_, *md_,
+      e::And(e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{0})),
+             e::Eq(e::Attr("state", "name"), e::Lit("SP"))));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_FALSE(plan->seed.has_value());
+}
+
 TEST_F(OptimizerTest, IndexSeedNarrowsTheFanOut) {
   ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
   Session session(&db_);

@@ -1,9 +1,10 @@
 // mad_server end to end, in process: concurrent connections produce
 // bit-identical results to a local Session, pipelining preserves
 // per-connection order, admission control sheds with BUSY instead of
-// queueing without bound, graceful shutdown rolls back open transactions,
-// idle connections are reaped, and protocol garbage tears the connection
-// down without touching the server.
+// queueing without bound, closed-loop statements run on their reader
+// thread within the executor cap, graceful shutdown rolls back open
+// transactions, idle connections are reaped, and protocol garbage tears the
+// connection down without touching the server.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include <arpa/inet.h>
 
+#include <chrono>
 #include <iterator>
 #include <set>
 #include <string>
@@ -24,6 +26,7 @@
 #include "server/result_render.h"
 #include "server/server.h"
 #include "storage/database.h"
+#include "util/metrics.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -57,6 +60,51 @@ const char* kGeoStatements[] = {
     "WHERE city.name = 'Brasilia';",
     "CHECK SELECT ALL FROM map WHERE COUNT(point) >= 0;",
 };
+
+/// A registry instrument's current value (counter/gauge) by name, or -1.
+int64_t MetricValue(const std::string& name) {
+  for (const MetricSample& sample : Registry::Global().Snapshot().samples) {
+    if (sample.name == name) return sample.value;
+  }
+  return -1;
+}
+
+/// Connects a raw socket and completes the HELLO handshake, for tests that
+/// must control how frames are packed into writes. Returns the fd, or -1.
+int ConnectRaw(uint16_t port, FrameDecoder* decoder) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  Message hello;
+  hello.type = MessageType::kHello;
+  hello.request_id = 1;
+  hello.code = kProtocolVersion;
+  const std::string frame = FrameMessage(hello);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, frame.data(), frame.size(), 0) !=
+          static_cast<ssize_t>(frame.size())) {
+    ::close(fd);
+    return -1;
+  }
+  Message reply;
+  char buf[1024];
+  while (true) {
+    Result<bool> next = decoder->Next(&reply);
+    if (!next.ok()) break;
+    if (*next) {
+      if (reply.type == MessageType::kHelloOk) return fd;
+      break;
+    }
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder->Feed(std::string_view(buf, static_cast<size_t>(n)));
+  }
+  ::close(fd);
+  return -1;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -211,6 +259,143 @@ TEST_F(ServerTest, OverloadShedsWithBusyInsteadOfQueueing) {
   EXPECT_EQ(server_->stats().shed_busy - shed_before,
             static_cast<uint64_t>(busy));
   EXPECT_TRUE(client.Close().ok());
+}
+
+// A lock-step client never has a second frame in flight, so each of its
+// statements finds its strand idle and runs on the reader thread that read
+// it — no hand-off to an executor.
+TEST_F(ServerTest, ClosedLoopStatementsRunInline) {
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const uint64_t inline_before = server_->stats().statements_inline;
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const char* statement : kGeoStatements) {
+      auto reply = client.Query(statement);
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      ASSERT_EQ(reply->type, MessageType::kResult) << reply->text;
+    }
+  }
+  auto metrics = client.Query("SHOW METRICS;");
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  ASSERT_EQ(metrics->type, MessageType::kResult) << metrics->text;
+  EXPECT_NE(metrics->text.find("server.statements_inline"), std::string::npos);
+  EXPECT_EQ(server_->stats().statements_inline - inline_before,
+            kRounds * std::size(kGeoStatements) + 1);
+  EXPECT_TRUE(client.Close().ok());
+}
+
+// Statements that arrive while their strand is busy take the executor path:
+// a burst written in one send, whose first statement is held running by a
+// writer on the database lock, runs nothing inline — not even the burst's
+// last frame — and still answers in send order.
+TEST_F(ServerTest, BurstBehindARunningStatementIsNotInline) {
+  StartServer();
+  FrameDecoder decoder;
+  const int fd = ConnectRaw(server_->port(), &decoder);
+  ASSERT_GE(fd, 0);
+  const uint64_t inline_before = server_->stats().statements_inline;
+
+  constexpr uint64_t kBurst = 4;
+  std::string burst;
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    Message query;
+    query.type = MessageType::kQuery;
+    query.request_id = 100 + i;
+    query.text = "SELECT ALL FROM state;";
+    burst += FrameMessage(query);
+  }
+  {
+    WriterLock hold(db_.mutex());
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
+              static_cast<ssize_t>(burst.size()));
+    // Wait until the first statement is executing (blocked on the lock)
+    // and the other three are admitted behind it. This is the server's
+    // first connection, so its scoped instruments are server.conn.1.*.
+    bool queued = false;
+    for (int i = 0; i < 1000 && !queued; ++i) {
+      queued = MetricValue("server.conn.1.statements") == 1 &&
+               MetricValue("server.conn.1.queue_depth") ==
+                   static_cast<int64_t>(kBurst - 1);
+      if (!queued) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(queued) << "the burst never queued behind its first statement";
+  }
+  char buf[16 * 1024];
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    Message reply;
+    while (true) {
+      Result<bool> next = decoder.Next(&reply);
+      ASSERT_TRUE(next.ok()) << next.status();
+      if (*next) break;
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0);
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    }
+    EXPECT_EQ(reply.type, MessageType::kResult) << reply.text;
+    EXPECT_EQ(reply.request_id, 100 + i);
+  }
+  ::close(fd);
+  EXPECT_EQ(server_->stats().statements_inline, inline_before);
+}
+
+// Inline statements take execution slots like executor statements do: with
+// one executor thread, two closed-loop connections never execute at once,
+// so the summed server-side execution time fits inside the wall time.
+TEST_F(ServerTest, InlineStatementsRespectTheExecutorCap) {
+  workload::GeoScale scale;
+  scale.states = 600;
+  ASSERT_TRUE(workload::GenerateScaledGeo(db_, scale).ok());
+  ServerOptions options;
+  options.executor_threads = 1;
+  // Serial statements, so two running at once would truly overlap.
+  options.session_options.parallelism = 1;
+  server_ = std::make_unique<MadServer>(&db_, options);
+  ASSERT_TRUE(server_->Start().ok());
+  Histogram& statement_us =
+      Registry::Global().GetHistogram("server.statement_us");
+  const uint64_t inline_before = server_->stats().statements_inline;
+  const uint64_t count_before = statement_us.count();
+  const uint64_t sum_before = statement_us.sum_us();
+
+  constexpr int kConnections = 2;
+  constexpr int kStatements = 12;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  std::vector<std::string> failures(kConnections);
+  for (int w = 0; w < kConnections; ++w) {
+    workers.emplace_back([&, w] {
+      Client client;
+      Status connected = client.Connect("127.0.0.1", server_->port());
+      if (!connected.ok()) {
+        failures[w] = connected.ToString();
+        return;
+      }
+      for (int i = 0; i < kStatements; ++i) {
+        auto reply = client.Query(
+            "SELECT ALL FROM state-area-edge-point WHERE COUNT(point) < 0;");
+        if (!reply.ok() || reply->type != MessageType::kResult) {
+          failures[w] = reply.ok() ? reply->text : reply.status().ToString();
+          return;
+        }
+      }
+      (void)client.Close();
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  const uint64_t wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  for (int w = 0; w < kConnections; ++w) {
+    EXPECT_EQ(failures[w], "") << "connection " << w;
+  }
+  EXPECT_EQ(statement_us.count() - count_before,
+            static_cast<uint64_t>(kConnections * kStatements));
+  EXPECT_LE(statement_us.sum_us() - sum_before, wall_us);
+  // The first statement found every slot free.
+  EXPECT_GE(server_->stats().statements_inline - inline_before, 1u);
 }
 
 TEST_F(ServerTest, ShutdownRollsBackOpenTransactions) {

@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
   server.Shutdown();
   mad::server::ServerStats stats = server.stats();
   std::cerr << "mad_server: drained: " << stats.statements_ok << " ok, "
-            << stats.statements_error << " errors, " << stats.shed_busy
+            << stats.statements_error << " errors (" << stats.statements_inline
+            << " run inline), " << stats.shed_busy
             << " shed, " << stats.protocol_errors << " protocol errors, "
             << stats.connections_accepted << " connections served\n";
   return 0;
