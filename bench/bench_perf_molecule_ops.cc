@@ -65,8 +65,10 @@ struct OpsFixture {
 };
 
 void BM_MoleculeDerivation(benchmark::State& state) {
-  // The molecule-type definition operator `a` itself, at an explicit thread
-  // count (range(1)); engine set-up + fan-out per iteration.
+  // The molecule-type definition operator `a` itself, at a pinned thread
+  // count (range(1)) or, at 0, the count the engine picks from the root
+  // count; engine set-up + fan-out per iteration. /100/0 sits below the
+  // serial crossover and /5000/0 above it.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
   mad::DerivationOptions opts{static_cast<unsigned>(state.range(1))};
@@ -89,12 +91,16 @@ BENCHMARK(BM_MoleculeDerivation)
     ->Args({100, 4})
     ->Args({400, 1})
     ->Args({400, 2})
-    ->Args({400, 4});
+    ->Args({400, 4})
+    ->Args({100, 0})
+    ->Args({5000, 1})
+    ->Args({5000, 4})
+    ->Args({5000, 0});
 
 void BM_PointQuery(benchmark::State& state) {
-  // SELECT on an indexed root attribute returning one molecule, at
-  // parallelism 1, over GenerateScaledGeo(range(0)) states: the statement
-  // should scale with the result, not with the database.
+  // SELECT on an indexed root attribute returning one molecule over
+  // GenerateScaledGeo(range(0)) states: the statement should scale with
+  // the result, not with the database.
   static std::unique_ptr<mad::Database> db;
   static int64_t states = -1;
   if (db == nullptr || states != state.range(0)) {
@@ -110,9 +116,7 @@ void BM_PointQuery(benchmark::State& state) {
       return;
     }
   }
-  mad::mql::SessionOptions options;
-  options.parallelism = 1;
-  mad::mql::Session session(db.get(), options);
+  mad::mql::Session session(db.get());
   for (auto _ : state) {
     auto result = session.Execute(
         "SELECT ALL FROM state-area-edge-point WHERE state.name = 'S7'");

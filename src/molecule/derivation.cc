@@ -320,13 +320,24 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
 
 // ---- Parallel fan-out -----------------------------------------------------
 
+namespace {
+
+/// Roots each worker needs before an extra thread pays for its job
+/// hand-off, so root sets under twice this derive serially (the
+/// BM_MoleculeDerivation sweep in EXPERIMENTS.md PERF-FANOUT).
+constexpr size_t kRootsPerThread = 200;
+
+}  // namespace
+
 Result<std::vector<Molecule>> DerivationEngine::FanOut(
     const std::vector<const Atom*>& roots, DerivationStats* stats) const {
-  unsigned parallelism = options_.parallelism != 0
-                             ? options_.parallelism
-                             : ThreadPool::DefaultParallelism();
-  parallelism = static_cast<unsigned>(std::min<size_t>(
-      parallelism, std::max<size_t>(1, roots.size())));
+  size_t wanted = options_.parallelism;
+  if (wanted == 0) {
+    wanted = std::min<size_t>(ThreadPool::DefaultParallelism(),
+                              roots.size() / kRootsPerThread);
+  }
+  const unsigned parallelism = static_cast<unsigned>(
+      std::clamp<size_t>(wanted, 1, std::max<size_t>(1, roots.size())));
 
   // One span covers the whole fan-out; the per-root hot loop on the worker
   // threads stays span-free (it aggregates into DerivationStats instead).

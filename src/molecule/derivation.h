@@ -25,8 +25,11 @@ struct DerivationOptions {
   explicit DerivationOptions(unsigned p) : parallelism(p) {}
 
   /// Worker threads for the per-root fan-out (the calling thread counts as
-  /// one). 0 means hardware_concurrency. Output is bit-for-bit identical at
-  /// every setting: molecules land in pre-sized root-order slots, and the
+  /// one). 0, what every production caller passes, lets the engine size the
+  /// fan-out from the root count: serial for small root sets, up to
+  /// hardware_concurrency for large ones. A nonzero count pins it — a seam
+  /// for tests and benches. Output is bit-for-bit identical at every
+  /// setting: molecules land in pre-sized root-order slots, and the
   /// per-root derivation itself is single-threaded.
   unsigned parallelism = 0;
   /// Pushed-down qualification: (node index, compiled program) pairs, at
@@ -65,9 +68,9 @@ struct DerivationOptions {
 /// database, and nothing mutates it in between. Build a new engine after
 /// mutations. Pushed predicate programs carry the same contract.
 ///
-/// Derivation fans out over root atoms on a shared worker pool; each worker
-/// owns a scratch workspace keyed by AtomId, sized to the molecule and
-/// reset sparsely after each one, and results are written into per-root
+/// Derivation of a large root set fans out over a shared worker pool; each
+/// worker owns a scratch workspace keyed by AtomId, sized to the molecule
+/// and reset sparsely after each one, and results are written into per-root
 /// slots so the output order never depends on thread scheduling.
 class DerivationEngine {
  public:

@@ -172,18 +172,30 @@ Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
   std::vector<expr::ExprPtr> conjuncts;
   CollectConjuncts(predicate, &conjuncts);
 
-  // Group single-node conjuncts per node (original order within a node),
-  // keep everything else residual.
+  // Topological position per node: the engine runs each node's filter as
+  // that node's group completes, in this order, and the residual last.
+  std::vector<size_t> topo_pos(md.nodes().size());
+  for (size_t i = 0; i < md.topo_order().size(); ++i) {
+    MAD_ASSIGN_OR_RETURN(size_t idx, md.NodeIndex(md.topo_order()[i]));
+    topo_pos[idx] = i;
+  }
+
+  // AND evaluates left to right with short-circuit, so which conjunct
+  // rejects a molecule — or raises its error — depends on evaluation
+  // order. Push only the prefix of single-node conjuncts whose nodes come
+  // in topological order; the first multi-node, constant or out-of-order
+  // conjunct ends it, and the rest stays residual, in original order.
   std::map<size_t, std::vector<expr::ExprPtr>> per_node;
   std::vector<expr::ExprPtr> residual_side;
+  size_t last_pos = 0;
   for (const expr::ExprPtr& conjunct : conjuncts) {
     MAD_ASSIGN_OR_RETURN(std::vector<size_t> nodes,
                          ReferencedNodes(db, md, *conjunct));
-    if (nodes.size() == 1) {
-      const size_t node_idx = nodes[0];
-      per_node[node_idx].push_back(conjunct);
+    if (residual_side.empty() && nodes.size() == 1 &&
+        topo_pos[nodes[0]] >= last_pos) {
+      last_pos = topo_pos[nodes[0]];
+      per_node[nodes[0]].push_back(conjunct);
     } else {
-      // Constants (no references) and multi-node conjuncts.
       residual_side.push_back(conjunct);
     }
   }
@@ -195,8 +207,10 @@ Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
     plan.node_filters.push_back(std::move(filter));
   }
   plan.residual = AndAll(residual_side);
-  // Root seeds: only the root filter's FIRST conjunct is safe to pre-filter
-  // on (see ScanSeed); the columnar scan seed only when no index matched.
+  // Root seeds: only the WHERE's first conjunct may pre-filter roots (see
+  // ScanSeed); the columnar scan seed only when no index matched. The root
+  // comes first in topological order, so a pushed root group always starts
+  // with that conjunct.
   auto root_group = per_node.find(root_idx);
   if (root_group != per_node.end()) {
     const expr::Expr& first = *root_group->second.front();

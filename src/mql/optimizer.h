@@ -26,9 +26,10 @@ struct NodeFilter {
 
 /// A root equality conjunct `root.attr = literal` matched against an
 /// existing AttributeIndex: derivation seeds its root set from the index
-/// bucket instead of scanning the whole occurrence. Only the *first* root
-/// conjunct qualifies, for the reason ScanSeed gives. The root's node filter
-/// still verifies the conjunct, so the seed only narrows the fan-out.
+/// bucket instead of scanning the whole occurrence. Only the WHERE's
+/// *first* conjunct qualifies, for the reason ScanSeed gives. The root's
+/// node filter still verifies the conjunct, so the seed only narrows the
+/// fan-out.
 struct IndexSeed {
   const AttributeIndex* index = nullptr;
   std::string attribute;
@@ -38,8 +39,8 @@ struct IndexSeed {
 /// A root comparison conjunct `attr ⊕ literal` evaluated column-at-a-time
 /// over the whole root occurrence: derivation seeds its root set from the
 /// batch kernel's pass bitmap instead of deriving-then-filtering every
-/// root. Only the *first* root conjunct qualifies — AND evaluates left to
-/// right with short-circuit, so dropping rows the first conjunct rejects
+/// root. Only the WHERE's *first* conjunct qualifies — AND evaluates left
+/// to right with short-circuit, so dropping rows the first conjunct rejects
 /// cannot suppress a later conjunct's runtime error — and the session
 /// applies the seed only when the kernel reports zero error rows, the head
 /// equals the pinned view, and the root column is regular. The root's node
@@ -58,13 +59,15 @@ struct ScanSeed {
 /// rewrite the paper's outlook anticipates: "exploit the algebra to ...
 /// enhance query transformation and query optimization").
 struct PushdownPlan {
-  /// Single-node conjuncts, grouped per node, ascending node index. The
-  /// root node's filter (if any) is an ordinary entry.
+  /// The pushed prefix of the WHERE — single-node conjuncts whose nodes
+  /// come in topological order — grouped per node, ascending node index.
+  /// The root node's filter (if any) is an ordinary entry.
   std::vector<NodeFilter> node_filters;
-  /// Conjuncts needing more than one node (plus constants), AND-joined in
-  /// original order; null when everything was pushed.
+  /// The conjuncts after that prefix, AND-joined in original order; null
+  /// when everything was pushed.
   expr::ExprPtr residual;
-  /// Root-index seed, when the first root conjunct is a usable equality.
+  /// Root-index seed, when the WHERE's first conjunct is a usable root
+  /// equality.
   std::optional<IndexSeed> seed;
   /// Columnar whole-store scan seed; used only when `seed` is absent (an
   /// index bucket beats a full-column scan).
@@ -77,9 +80,12 @@ struct PushdownPlan {
 
 /// Splits the top-level conjunction of `predicate` per description node: a
 /// conjunct whose references (attributes, COUNT and FORALL quantifiers) all
-/// bind to one node becomes that node's filter; everything else — mixed
-/// conjuncts, disjunctions over several nodes, constants — stays residual.
-/// A null predicate yields an empty plan.
+/// bind to one node becomes that node's filter, as long as every conjunct
+/// before it was pushed and its node does not precede theirs in
+/// topological order. Everything else — mixed conjuncts, disjunctions over
+/// several nodes, constants, and whatever follows them — stays residual,
+/// so pushed and unpushed plans evaluate conjuncts in the same order and
+/// raise the same errors. A null predicate yields an empty plan.
 Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
                                            const MoleculeDescription& md,
                                            const expr::ExprPtr& predicate);

@@ -14,7 +14,6 @@
 #include "text/printer.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mad {
@@ -137,10 +136,6 @@ Session::Session(Database* db, SessionOptions options)
                        "mql.session." + std::to_string(session_id_) + ".") {
   session_statements_ = &session_metrics_.GetCounter("statements");
   session_latency_ = &session_metrics_.GetHistogram("statement_us");
-  session_parallelism_ = &session_metrics_.GetGauge("parallelism");
-  session_parallelism_->Set(options_.parallelism == 0
-                                ? ThreadPool::DefaultParallelism()
-                                : options_.parallelism);
   if (options_.pin_snapshot) RefreshSnapshotPin();
 }
 
@@ -365,7 +360,7 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
       // only for the closures that survived the WHERE filter. One engine
       // serves every closure — the adjacency snapshot is built once, not
       // once per recursive molecule.
-      DerivationOptions dopts{options_.parallelism};
+      DerivationOptions dopts;
       dopts.view = view;
       MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
                            DerivationEngine::Create(*db_, *expansion, dopts));
@@ -397,14 +392,15 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
   }
 
   // Ch. 4 translation: a (definition) ∘ Σ (WHERE) ∘ Π (SELECT). With
-  // pushdown enabled the Σ is fused into the derivation: the WHERE clause
-  // is split per description node, each group compiled into a flat
-  // predicate program the engine evaluates the moment that node's group
-  // completes, the multi-node residue compiled into a program evaluated
-  // inside the parallel fan-out, and an indexed root equality seeds the
-  // root set from its AttributeIndex bucket.
+  // pushdown enabled the Σ is fused into the derivation: the WHERE's
+  // leading single-node conjuncts are split per description node, each
+  // group compiled into a flat predicate program the engine evaluates the
+  // moment that node's group completes, the rest compiled into a residual
+  // program evaluated per root before materialization, and a leading
+  // indexed root equality seeds the root set from its AttributeIndex
+  // bucket.
   expr::ExprPtr residual_where = stmt.where;
-  DerivationOptions dopts{options_.parallelism};
+  DerivationOptions dopts;
   dopts.view = view;
   DerivationStats dstats;
   std::optional<MoleculeType> derived;
@@ -474,9 +470,9 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
       seed_span.set_rows_out(static_cast<int64_t>(seeded->size()));
     }
 
-    // Columnar scan seed: no index matched, but the root filter's first
-    // conjunct is a plain `attr ⊕ literal` — run the batch compare kernel
-    // over the whole root column and fan out only over the passing rows.
+    // Columnar scan seed: no index matched, but the WHERE's first
+    // conjunct is a plain root `attr ⊕ literal` — run the batch compare
+    // kernel over the whole root column and derive only the passing rows.
     // Applies only when the head is the pinned view, the column is clean,
     // and the kernel reports zero error rows (an erroring row must instead
     // surface its error through ordinary evaluation). Row order is
@@ -530,8 +526,7 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
   MoleculeType mt = *std::move(derived);
   if (residual_where != nullptr) {
     MAD_ASSIGN_OR_RETURN(
-        mt, RestrictMolecules(*db_, mt, residual_where, name,
-                              options_.parallelism, view));
+        mt, RestrictMolecules(*db_, mt, residual_where, name, view));
   }
   if (!stmt.select_all) {
     MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
@@ -874,7 +869,6 @@ Result<QueryResult> Session::RunSetOption(SetOptionStatement stmt) {
   const std::vector<std::string>& options = KnownSessionOptions();
   for (const std::string& option : options) {
     if (!EqualsIgnoreCase(stmt.option, option)) continue;
-    if (option == "PARALLELISM") return SetParallelism(stmt.value);
     if (option == "SYNC") return SetSync(stmt.value);
     if (option == "PIN SNAPSHOT") return SetPinSnapshot(stmt.value);
     return SetTrace(stmt.value);
@@ -886,25 +880,6 @@ Result<QueryResult> Session::RunSetOption(SetOptionStatement stmt) {
   }
   return Status::InvalidArgument("unknown session option '" + stmt.option +
                                  "'; available: " + available);
-}
-
-Result<QueryResult> Session::SetParallelism(int64_t value) {
-  if (value < 0) {
-    return Status::InvalidArgument(
-        "PARALLELISM must be >= 0 (0 selects hardware concurrency)");
-  }
-  options_.parallelism = static_cast<unsigned>(value);
-  session_parallelism_->Set(value == 0 ? ThreadPool::DefaultParallelism()
-                                       : value);
-  QueryResult result;
-  result.message =
-      options_.parallelism == 0
-          ? "parallelism set to auto (" +
-                std::to_string(ThreadPool::DefaultParallelism()) +
-                " threads)"
-          : "parallelism set to " + std::to_string(options_.parallelism) +
-                " thread" + (options_.parallelism == 1 ? "" : "s");
-  return result;
 }
 
 Result<QueryResult> Session::SetSync(int64_t value) {

@@ -61,10 +61,6 @@ struct SessionOptions {
   /// query-optimization direction the paper's outlook sketches). Disable
   /// for the ablation benchmarks.
   bool enable_root_pushdown = true;
-  /// Worker threads for molecule derivation (0 = hardware_concurrency);
-  /// adjustable at runtime with `SET PARALLELISM n`. Results are identical
-  /// at every setting.
-  unsigned parallelism = 0;
   /// Per-mutation fsync for databases attached with OPEN; adjustable at
   /// runtime with `SET SYNC ON|OFF`.
   bool sync = false;
@@ -157,9 +153,8 @@ class Session {
   /// other statuses pass through unchanged.
   static Status WrapConflict(Status status);
 
-  // SET option handlers, dispatched through kSessionOptions in session.cc;
+  // SET option handlers, dispatched through KnownSessionOptions() (sema.h);
   // the table is also the source of the "available: ..." error list.
-  Result<QueryResult> SetParallelism(int64_t value);
   Result<QueryResult> SetSync(int64_t value);
   Result<QueryResult> SetTrace(int64_t value);
   Result<QueryResult> SetPinSnapshot(int64_t value);
@@ -176,17 +171,15 @@ class Session {
   std::unique_ptr<DurableDatabase> durable_;
   uint64_t session_id_;
   /// Per-session labeled metric handles ("mql.session.<id>.*"), registered
-  /// through an evictable scope: options like PARALLELISM are per-session
-  /// state, so their gauges must be too — a process-wide "mql.parallelism"
-  /// gauge would let concurrent sessions overwrite each other's readings —
-  /// and the scope erases the labels again on session close, so session
-  /// churn cannot grow the registry without bound. The process-wide
+  /// through an evictable scope: a session's statement count and latency
+  /// are per-session state, so concurrent sessions must not share one
+  /// reading — and the scope erases the labels again on session close, so
+  /// session churn cannot grow the registry without bound. The process-wide
   /// "mql.statements" / "mql.statement_us" aggregates remain alongside
   /// (observability dashboards and tests pin those names).
   ScopedMetrics session_metrics_;
   Counter* session_statements_;
   Histogram* session_latency_;
-  Gauge* session_parallelism_;
   /// The cross-statement read pin of SET PIN SNAPSHOT. Declared after
   /// durable_ so it releases against a still-live database on destruction;
   /// RunOpen releases it by hand before swapping databases.

@@ -49,7 +49,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-written level (open databases, configured parallelism, ...).
+/// Last-written level (active connections, queue depth, ...).
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }

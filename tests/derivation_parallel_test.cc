@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "molecule/derivation.h"
 #include "molecule/description.h"
+#include "util/thread_pool.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
 
@@ -127,6 +129,51 @@ TEST(DerivationParallelTest, ForRootsKeepsCallerOrderAtAnyParallelism) {
     EXPECT_EQ((*serial)[i].root(), roots[i]);
     EXPECT_TRUE(ExactlyEqual((*serial)[i], (*parallel)[i])) << "slot " << i;
   }
+}
+
+// Parallelism 0 lets the engine size the fan-out from the root count: a
+// full scan of a large occurrence fans out, a small root set derives
+// serially, and either way the output is bit-identical to a serial run.
+TEST(DerivationParallelTest, EngineSizesTheFanOutFromTheRootCount) {
+  Database db("SCALED");
+  workload::GeoScale scale;
+  scale.states = 2000;
+  ASSERT_TRUE(workload::GenerateScaledGeo(db, scale).ok());
+  auto md = MoleculeDescription::CreateFromTypes(
+      db, {"state", "area", "edge", "point"},
+      {{"state-area", "state", "area", false},
+       {"area-edge", "area", "edge", false},
+       {"edge-point", "edge", "point", false}});
+  ASSERT_TRUE(md.ok()) << md.status();
+
+  DerivationStats serial_stats;
+  auto serial = DeriveMolecules(db, *md, DerivationOptions{1}, &serial_stats);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  DerivationStats sized_stats;
+  auto sized = DeriveMolecules(db, *md, DerivationOptions{}, &sized_stats);
+  ASSERT_TRUE(sized.ok()) << sized.status();
+  ASSERT_EQ(sized->size(), serial->size());
+  for (size_t i = 0; i < serial->size(); ++i) {
+    EXPECT_TRUE(ExactlyEqual((*serial)[i], (*sized)[i])) << "molecule " << i;
+  }
+  EXPECT_EQ(sized_stats.atoms_visited, serial_stats.atoms_visited);
+  EXPECT_EQ(sized_stats.links_scanned, serial_stats.links_scanned);
+  EXPECT_LE(sized_stats.threads_used, ThreadPool::DefaultParallelism());
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GT(sized_stats.threads_used, 1u);
+  }
+
+  std::vector<AtomId> few;
+  for (size_t i = 0; i < 50; ++i) few.push_back((*serial)[i].root());
+  DerivationStats few_stats;
+  auto small = DeriveMoleculesForRoots(db, *md, few, DerivationOptions{},
+                                       &few_stats);
+  ASSERT_TRUE(small.ok()) << small.status();
+  ASSERT_EQ(small->size(), few.size());
+  for (size_t i = 0; i < few.size(); ++i) {
+    EXPECT_TRUE(ExactlyEqual((*serial)[i], (*small)[i])) << "slot " << i;
+  }
+  EXPECT_EQ(few_stats.threads_used, 1u);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 // stores holding archived versions and another transaction's pending
 // writes. Beyond the molecule sets the tests check root order against
 // occurrence order, pushed filters against derive-then-restrict, thread
-// count invariance at parallelism 1/4/8, ValidateMolecule on head output,
-// and the DerivationStats counters for one fixed seed.
+// count invariance at parallelism 1/4/8 and under the engine's rule (0),
+// ValidateMolecule on head output, and the DerivationStats counters for
+// one fixed seed.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,8 @@ namespace {
 
 namespace e = expr;
 
-constexpr unsigned kParallelisms[] = {1, 4, 8};
+// Pinned thread counts, plus 0: the engine's own root-count rule.
+constexpr unsigned kParallelisms[] = {1, 4, 8, 0};
 
 /// A molecule as sets: per node the atom ids, plus (edge, parent, child)
 /// link triples. Molecule::operator== is set-semantic too, but this form
@@ -390,7 +392,7 @@ void CheckPushdown(const Database& db, const MoleculeDescription& md,
   MoleculeType everything("all", md, *std::move(all));
   auto restricted = RestrictMolecules(db, everything,
                                       e::And(node_predicate, residual),
-                                      "restricted", 1, view);
+                                      "restricted", view);
   ASSERT_TRUE(restricted.ok()) << restricted.status();
 
   for (unsigned parallelism : kParallelisms) {

@@ -2,10 +2,10 @@
 // clean under ThreadSanitizer (the CI `tsan` job runs it). Two writer
 // threads commit transactions through the group-commit WAL while four
 // reader threads pin epochs and derive molecules (flat and recursive BOM)
-// at parallelism 1, 4, and 8. Determinism contract (DESIGN.md §11): every
-// derivation at a pinned epoch E is bit-identical across parallelism
-// levels, and bit-identical to a fresh single-threaded derivation over a
-// scratch database materialized from the snapshot at E.
+// at parallelism 1, 4, 8 and the engine's own rule. Determinism contract
+// (DESIGN.md §11): every derivation at a pinned epoch E is bit-identical
+// across parallelism levels, and bit-identical to a fresh single-threaded
+// derivation over a scratch database materialized from the snapshot at E.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,8 @@ constexpr int kWriters = 2;
 constexpr int kTxnsPerWriter = 40;
 constexpr int kReaders = 4;
 constexpr int kReadsPerReader = 12;
-constexpr unsigned kParallelisms[] = {1, 4, 8};
+// Pinned thread counts, plus 0: the engine's own root-count rule.
+constexpr unsigned kParallelisms[] = {1, 4, 8, 0};
 
 Schema PartSchema() {
   Schema s;

@@ -63,8 +63,8 @@ TEST_F(OptimizerTest, ReferencedNodesClassification) {
 TEST_F(OptimizerTest, SplitsConjunctionPerNode) {
   auto pred = e::And(
       e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{900})),
-      e::And(e::Eq(e::Attr("point", "name"), e::Lit("pn")),
-             e::Ne(e::Attr("state", "name"), e::Lit("XX"))));
+      e::And(e::Ne(e::Attr("state", "name"), e::Lit("XX")),
+             e::Eq(e::Attr("point", "name"), e::Lit("pn"))));
   auto plan = PlanPredicatePushdown(db_, *md_, pred);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->node_filters.size(), 2u);
@@ -76,6 +76,37 @@ TEST_F(OptimizerTest, SplitsConjunctionPerNode) {
             "(point.name = 'pn')");
   EXPECT_EQ(plan->residual, nullptr);
   EXPECT_TRUE(plan->HasPushdown());
+}
+
+TEST_F(OptimizerTest, PushesOnlyATopologicallyOrderedPrefix) {
+  // The engine runs node filters in topological order and the residual
+  // last, so a conjunct whose node precedes an earlier conjunct's node —
+  // and everything after it — stays residual, in WHERE order.
+  auto pred = e::And(
+      e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{900})),
+      e::And(e::Eq(e::Attr("point", "name"), e::Lit("pn")),
+             e::And(e::Ne(e::Attr("state", "name"), e::Lit("XX")),
+                    e::Gt(e::Attr("point", "x"), e::Lit(0.0)))));
+  auto plan = PlanPredicatePushdown(db_, *md_, pred);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->node_filters.size(), 2u);
+  EXPECT_EQ(plan->node_filters[0].predicate->ToString(),
+            "(state.hectare > 900)");
+  EXPECT_EQ(plan->node_filters[1].predicate->ToString(),
+            "(point.name = 'pn')");
+  ASSERT_NE(plan->residual, nullptr);
+  EXPECT_EQ(plan->residual->ToString(),
+            "((state.name != 'XX') AND (point.x > 0))");
+
+  // A multi-node conjunct ends the prefix as well.
+  auto mixed = PlanPredicatePushdown(
+      db_, *md_,
+      e::And(e::Gt(e::Attr("state", "hectare"), e::Attr("area", "hectare")),
+             e::Eq(e::Attr("state", "name"), e::Lit("SP"))));
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_TRUE(mixed->node_filters.empty());
+  EXPECT_FALSE(mixed->seed.has_value());
+  EXPECT_FALSE(mixed->scan_seed.has_value());
 }
 
 TEST_F(OptimizerTest, MultiNodeDisjunctionStaysResidual) {
@@ -102,8 +133,8 @@ TEST_F(OptimizerTest, SingleNodeDisjunctionIsPushed) {
 }
 
 TEST_F(OptimizerTest, CountConjunctIsPushedToItsNode) {
-  auto pred = e::And(e::Ge(e::Count("point"), e::Lit(int64_t{2})),
-                     e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{0})));
+  auto pred = e::And(e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{0})),
+                     e::Ge(e::Count("point"), e::Lit(int64_t{2})));
   auto plan = PlanPredicatePushdown(db_, *md_, pred);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->node_filters.size(), 2u);
@@ -200,31 +231,81 @@ TEST_F(OptimizerTest, PushdownAndBaselineAgree) {
       "SELECT ALL FROM m8(state-area-edge-point) "
       "WHERE FORALL point (point.x >= 0);",
   };
-  // Pushdown on/off at several parallelism settings must agree
-  // bit-for-bit, per Theorem 2's closure argument: Σ commutes with the
-  // derivation split because each pushed conjunct is decided by the same
-  // group either way.
+  // Pushdown on/off must agree bit-for-bit, per Theorem 2's closure
+  // argument: Σ commutes with the derivation split because each pushed
+  // conjunct is decided by the same group either way.
   for (const char* query : queries) {
-    std::vector<std::string> baseline;
-    bool have_baseline = false;
-    for (bool pushdown : {true, false}) {
-      for (unsigned parallelism : {1u, 4u, 8u}) {
-        SessionOptions options;
-        options.enable_root_pushdown = pushdown;
-        options.parallelism = parallelism;
-        Session session(&db_, options);
-        auto result = session.Execute(query);
-        ASSERT_TRUE(result.ok()) << query << ": " << result.status();
-        if (!have_baseline) {
-          baseline = Keys(*result);
-          have_baseline = true;
-        } else {
-          EXPECT_EQ(Keys(*result), baseline)
-              << query << " (pushdown=" << pushdown
-              << ", parallelism=" << parallelism << ")";
-        }
+    SessionOptions off;
+    off.enable_root_pushdown = false;
+    Session plain(&db_, off);
+    auto expected = plain.Execute(query);
+    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+    Session session(&db_);
+    auto result = session.Execute(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    EXPECT_EQ(Keys(*result), Keys(*expected)) << query;
+  }
+}
+
+// Pushed and unpushed plans evaluate the WHERE's conjuncts in the same
+// order across nodes. Root 'a' reaches an `ar` atom with n = 0, so a
+// leading division on `ar` must raise its error before the later root
+// equality can reject 'a' — neither a pushed root filter nor an index seed
+// on that equality may run first.
+TEST(OptimizerCrossNodeTest, PushdownKeepsConjunctOrderAcrossNodes) {
+  const char* queries[] = {
+      "SELECT ALL FROM m(st-ar) WHERE 10 / ar.n > 1 AND st.name = 'zz';",
+      "SELECT ALL FROM m(st-ar) WHERE 10 / ar.n > 1 AND st.name = 'b';",
+      "SELECT ALL FROM m(st-ar) WHERE st.name = 'zz' AND 10 / ar.n > 1;",
+      "SELECT ALL FROM m(st-ar) WHERE st.name = 'b' AND 10 / ar.n > 1;",
+      "SELECT ALL FROM m(st-ar) WHERE ar.n > 1 AND 10 / ar.n > 1 "
+      "AND st.name = 'b';",
+  };
+  for (bool indexed : {false, true}) {
+    Database db("CROSS");
+    Session setup(&db);
+    ASSERT_TRUE(setup
+                    .ExecuteScript(
+                        "CREATE ATOM TYPE st (name STRING);"
+                        "CREATE ATOM TYPE ar (n INT64);"
+                        "CREATE LINK TYPE sa (st, ar);"
+                        "INSERT INTO st VALUES ('a'), ('b');"
+                        "INSERT INTO ar VALUES (0), (5);"
+                        "INSERT LINK sa FROM (name = 'a') TO (n = 0);"
+                        "INSERT LINK sa FROM (name = 'b') TO (n = 5);")
+                    .ok());
+    if (indexed) {
+      ASSERT_TRUE(db.CreateIndex("st", "name").ok());
+    }
+    for (const char* query : queries) {
+      SessionOptions off;
+      off.enable_root_pushdown = false;
+      Session plain(&db, off);
+      auto expected = plain.Execute(query);
+      Session session(&db);
+      auto result = session.Execute(query);
+      const std::string where =
+          std::string(query) + (indexed ? " (indexed)" : " (no index)");
+      if (result.ok() != expected.ok()) {
+        ADD_FAILURE() << where << ": pushdown "
+                      << (result.ok() ? std::string("ok")
+                                      : result.status().ToString())
+                      << ", unpushed "
+                      << (expected.ok() ? std::string("ok")
+                                        : expected.status().ToString());
+      } else if (expected.ok()) {
+        EXPECT_EQ(Keys(*result), Keys(*expected)) << where;
+      } else {
+        EXPECT_EQ(result.status().code(), expected.status().code()) << where;
+        EXPECT_EQ(result.status().message(), expected.status().message())
+            << where;
       }
     }
+    // The first query really divides by zero.
+    SessionOptions off;
+    off.enable_root_pushdown = false;
+    Session plain(&db, off);
+    EXPECT_FALSE(plain.Execute(queries[0]).ok());
   }
 }
 

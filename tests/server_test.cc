@@ -349,8 +349,6 @@ TEST_F(ServerTest, InlineStatementsRespectTheExecutorCap) {
   ASSERT_TRUE(workload::GenerateScaledGeo(db_, scale).ok());
   ServerOptions options;
   options.executor_threads = 1;
-  // Serial statements, so two running at once would truly overlap.
-  options.session_options.parallelism = 1;
   server_ = std::make_unique<MadServer>(&db_, options);
   ASSERT_TRUE(server_->Start().ok());
   Histogram& statement_us =

@@ -1,9 +1,9 @@
-// Regression coverage for per-session metrics. SET PARALLELISM and the
-// statement counters used to publish through function-local static handles
-// ("mql.parallelism", "mql.statements"): process-wide metrics for state
-// that is per-session, so two concurrent sessions overwrote each other's
-// readings. Each session now owns labeled handles under
-// "mql.session.<id>.*"; the process-wide aggregates remain alongside.
+// Regression coverage for per-session metrics. The statement counters used
+// to publish through function-local static handles ("mql.statements"):
+// process-wide metrics for state that is per-session, so two concurrent
+// sessions overwrote each other's readings. Each session now owns labeled
+// handles under "mql.session.<id>.*"; the process-wide aggregates remain
+// alongside.
 
 #include <gtest/gtest.h>
 
@@ -27,22 +27,26 @@ TEST(SessionMetricsTest, SessionsGetDistinctIds) {
   EXPECT_NE(a.session_id(), b.session_id());
 }
 
-TEST(SessionMetricsTest, ParallelismGaugesAreIndependentPerSession) {
+TEST(SessionMetricsTest, LatencyHistogramsAreIndependentPerSession) {
   Database db("METRICS");
   Session a(&db);
   Session b(&db);
-  Gauge& gauge_a = Registry::Global().GetGauge(Prefix(a) + "parallelism");
-  Gauge& gauge_b = Registry::Global().GetGauge(Prefix(b) + "parallelism");
+  Histogram& lat_a =
+      Registry::Global().GetHistogram(Prefix(a) + "statement_us");
+  Histogram& lat_b =
+      Registry::Global().GetHistogram(Prefix(b) + "statement_us");
 
-  ASSERT_TRUE(a.Execute("SET PARALLELISM 2;").ok());
-  ASSERT_TRUE(b.Execute("SET PARALLELISM 7;").ok());
-  EXPECT_EQ(gauge_a.value(), 2);
-  EXPECT_EQ(gauge_b.value(), 7);
+  ASSERT_TRUE(a.Execute("SET TRACE OFF;").ok());
+  ASSERT_TRUE(b.Execute("SET TRACE OFF;").ok());
+  ASSERT_TRUE(b.Execute("SET SYNC OFF;").ok());
+  EXPECT_EQ(lat_a.count(), 1u);
+  EXPECT_EQ(lat_b.count(), 2u);
 
-  // The bug: a shared gauge would make A's next SET clobber B's reading.
-  ASSERT_TRUE(a.Execute("SET PARALLELISM 3;").ok());
-  EXPECT_EQ(gauge_a.value(), 3);
-  EXPECT_EQ(gauge_b.value(), 7);
+  // The bug: a shared handle would make A's next statement move B's
+  // reading.
+  ASSERT_TRUE(a.Execute("SET TRACE OFF;").ok());
+  EXPECT_EQ(lat_a.count(), 2u);
+  EXPECT_EQ(lat_b.count(), 2u);
 }
 
 TEST(SessionMetricsTest, StatementCountersArePerSessionAndAggregate) {
