@@ -1,10 +1,10 @@
 // PERF-MVCC: the cost of the epoch machinery on read paths. Three shapes:
 //
-//  * Derivation/head        — derivation with no view (the legacy path);
-//    guards the "zero-cost when unused" claim: versioning must not tax
+//  * Derivation/head        — derivation at the default kHeadView; guards
+//    the "zero-cost when unused" claim: versioning must not tax
 //    single-threaded readers.
 //  * Derivation/pinned      — the same derivation through a pinned view over
-//    a clean head (HeadVisibleAt fast path: one epoch compare per store).
+//    a clean head (each store read takes the HeadVisibleAt fast path).
 //  * Derivation/archived    — pinned view over a head with archived versions
 //    (the snapshot-reconstruction slow path readers only hit while writers
 //    overlap them).

@@ -85,7 +85,7 @@ void RunEngine(benchmark::State& state, const e::ExprPtr& pred,
   auto& f = VecFixture::Get(state);
   if (f.db == nullptr) return;
   auto program = e::CompiledPredicate::Compile(*f.db, f.mt->description(),
-                                               pred, std::nullopt, mode);
+                                               pred, mad::kHeadView, mode);
   if (!program.ok()) {
     state.SkipWithError(program.status().ToString().c_str());
     return;

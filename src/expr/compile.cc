@@ -10,10 +10,11 @@ namespace expr {
 
 Result<CompiledPredicate> CompiledPredicate::Compile(
     const Database& db, const MoleculeDescription& md, const ExprPtr& predicate,
-    std::optional<ReadView> view, BatchMode mode) {
+    ReadView view, BatchMode mode) {
   CompiledPredicate cp;
   cp.db_ = &db;
   cp.md_ = &md;
+  cp.view_ = view;
   MAD_ASSIGN_OR_RETURN(cp.resolved_, ResolveQualification(db, md, predicate));
   cp.stores_.reserve(md.nodes().size());
   cp.schemas_.reserve(md.nodes().size());
@@ -23,18 +24,11 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     cp.schemas_.push_back(&at->description());
   }
   MAD_ASSIGN_OR_RETURN(cp.root_, cp.BuildBool(*cp.resolved_));
-  // Nodes whose head differs from the view resolve atoms through the
-  // archive-aware FindVersionAt; the rest read the head.
-  cp.view_ = view;
-  cp.pinned_.reserve(cp.stores_.size());
-  for (const AtomStore* store : cp.stores_) {
-    cp.pinned_.push_back(view.has_value() && !store->HeadVisibleAt(*view));
-  }
-  if (mode == BatchMode::kAuto) cp.PlanBatch(view);
+  if (mode == BatchMode::kAuto) cp.PlanBatch();
   return cp;
 }
 
-void CompiledPredicate::PlanBatch(const std::optional<ReadView>& view) {
+void CompiledPredicate::PlanBatch() {
   // A leaf is batch-eligible when its cached per-row bits can be probed in
   // the same order the scalar loops bind atoms: exactly one binding loop
   // (multi-loop leaves evaluate per combination, not per row), no COUNT
@@ -52,7 +46,7 @@ void CompiledPredicate::PlanBatch(const std::optional<ReadView>& view) {
     }
     if (!row_pure) continue;
     const AtomStore& store = *stores_[leaf.loop_nodes[0]];
-    if (view.has_value() && !store.HeadVisibleAt(*view)) continue;
+    if (!store.HeadVisibleAt(view_)) continue;
     auto lb = std::make_unique<LeafBatch>();
     lb->node = leaf.loop_nodes[0];
     lb->base = store.atoms().data();
@@ -370,8 +364,7 @@ Result<bool> CompiledPredicate::EvalMolecule(const Molecule& molecule,
     std::vector<const Atom*>& row = scratch.rows_[node_idx];
     row.clear();
     for (AtomId id : molecule.AtomsOf(node_idx)) {
-      row.push_back(pinned_[node_idx] ? store.FindVersionAt(id, *view_)
-                                      : store.Find(id));
+      row.push_back(store.FindVersionAt(id, view_));
     }
     scratch.spans_[node_idx].data = row.data();
   }

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,15 +75,16 @@ class CompiledPredicate {
 
   /// Resolves `predicate` against `md` (identical acceptance to
   /// MoleculeQualifier::Create) and compiles it. The database and the
-  /// description must outlive the compiled predicate. With `view`,
-  /// EvalMolecule resolves atoms to the versions visible at that epoch
-  /// instead of the head (DESIGN.md §11), so evaluation binds exactly the
-  /// atoms a reader pinned there would see. Compiling reads no atom: its
-  /// cost follows the predicate, not the database.
-  static Result<CompiledPredicate> Compile(
-      const Database& db, const MoleculeDescription& md,
-      const ExprPtr& predicate, std::optional<ReadView> view = std::nullopt,
-      BatchMode mode = BatchMode::kAuto);
+  /// description must outlive the compiled predicate. EvalMolecule resolves
+  /// atoms to the versions visible at `view` (DESIGN.md §11; the head by
+  /// default), so evaluation binds exactly the atoms a reader there would
+  /// see. Compiling reads no atom: its cost follows the predicate, not the
+  /// database.
+  static Result<CompiledPredicate> Compile(const Database& db,
+                                           const MoleculeDescription& md,
+                                           const ExprPtr& predicate,
+                                           ReadView view = kHeadView,
+                                           BatchMode mode = BatchMode::kAuto);
 
   /// Evaluates over `groups`, an array of md.nodes().size() spans (one per
   /// description node, in node order). A null row pointer inside a span
@@ -206,7 +206,7 @@ class CompiledPredicate {
   void MaybeMarkFast(Leaf& leaf) const;
   Status EmitValue(const Expr& expr,
                    const std::map<std::string, uint32_t>& slots);
-  void PlanBatch(const std::optional<ReadView>& view);
+  void PlanBatch();
 
   // Evaluation helpers (run time).
   void PrepareScratch(Scratch& scratch) const;
@@ -245,10 +245,8 @@ class CompiledPredicate {
   /// Per description node, captured at compile time (node order).
   std::vector<const AtomStore*> stores_;
   std::vector<const Schema*> schemas_;
-  /// The compile view, and per node whether the store's head differs from
-  /// it (atoms then resolve through FindVersionAt instead of Find).
-  std::optional<ReadView> view_;
-  std::vector<bool> pinned_;
+  /// The compile view EvalMolecule resolves atoms at.
+  ReadView view_;
   std::vector<size_t> loop_node_set_;
   uint32_t max_loop_depth_ = 0;
   /// Batch state per eligible leaf (unique_ptr: std::once_flag pins the

@@ -20,7 +20,6 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                                                  DerivationOptions options) {
   DerivationEngine engine;
   engine.options_ = options;
-  const std::optional<ReadView>& view = options.view;
   const size_t node_count = md.nodes().size();
   engine.nodes_.resize(node_count);
   for (size_t i = 0; i < node_count; ++i) {
@@ -28,7 +27,6 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                          db.GetAtomType(md.nodes()[i].type_name));
     Node& node = engine.nodes_[i];
     node.store = &at->occurrence();
-    node.pinned = view.has_value() && !node.store->HeadVisibleAt(*view);
     const std::vector<size_t>& ins = md.InLinksOf(md.nodes()[i].label);
     node.in_edges.assign(ins.begin(), ins.end());
   }
@@ -51,7 +49,6 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     edge.store = &lt->occurrence();
     edge.direction =
         dl.reverse ? LinkDirection::kBackward : LinkDirection::kForward;
-    edge.pinned = view.has_value() && !edge.store->HeadVisibleAt(*view);
     engine.edges_.push_back(edge);
   }
 
@@ -86,11 +83,6 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     MAD_RETURN_IF_ERROR(adopt(options.residual));
   }
   return engine;
-}
-
-const Atom* DerivationEngine::FindAtom(const Node& node, AtomId id) const {
-  return node.pinned ? node.store->FindVersionAt(id, *options_.view)
-                     : node.store->Find(id);
 }
 
 // ---- Per-worker scratch ---------------------------------------------------
@@ -135,7 +127,7 @@ struct DerivationEngine::Workspace {
   };
   std::vector<NodeScratch> nodes;
   std::vector<EdgeScratch> edges;
-  std::vector<AtomId> partners;  // PartnersAt result buffer
+  std::vector<AtomId> partners;  // PartnersAt scratch
   size_t atoms_visited = 0;
   size_t links_scanned = 0;
   size_t rejected = 0;
@@ -225,13 +217,8 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
       es.targets.clear();
       for (uint32_t parent : from.group) {
         const AtomId parent_id = from.candidates[parent].id;
-        if (edge.pinned) {
-          ws.partners =
-              edge.store->PartnersAt(parent_id, edge.direction, *options_.view);
-        }
-        const std::vector<AtomId>& partners =
-            edge.pinned ? ws.partners
-                        : edge.store->Partners(parent_id, edge.direction);
+        const std::vector<AtomId>& partners = edge.store->PartnersAt(
+            parent_id, edge.direction, options_.view, &ws.partners);
         if (!ns.indexed && !ns.candidates.empty()) {
           for (size_t i = 0; i < ns.candidates.size(); ++i) {
             ns.index.Assign(ns.candidates[i].id.value, i);
@@ -440,12 +427,7 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
     DerivationStats* stats) const {
-  const Node& root = nodes_[root_node_];
-  if (root.pinned) return FanOut(root.store->SnapshotAt(*options_.view), stats);
-  std::vector<const Atom*> roots;
-  roots.reserve(root.store->size());
-  for (const Atom& atom : root.store->atoms()) roots.push_back(&atom);
-  return FanOut(roots, stats);
+  return FanOut(nodes_[root_node_].store->SnapshotAt(options_.view), stats);
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(

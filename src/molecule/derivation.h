@@ -47,20 +47,19 @@ struct DerivationOptions {
   /// groups inside the fan-out, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
   // The compiled programs are borrowed and must outlive every derive call.
-  /// Epoch pin: when set, derivation reads the versions visible at this
-  /// view instead of the head (DESIGN.md §11). Pushed programs must then be
-  /// compiled with the same view. nullopt keeps the zero-cost head path.
-  std::optional<ReadView> view;
+  /// The view derivation reads at (DESIGN.md §11); pushed programs must be
+  /// compiled at the same view. The default, kHeadView, reads the head;
+  /// the stores answer any view the head is visible at from the head alone.
+  ReadView view = kHeadView;
 };
 
 /// The derivation engine behind m_dom (Def. 6): a molecule description
 /// resolved against one database — store pointers, topological node order,
 /// in-edges and pushed filters, O(|description|) to build. Each molecule is
 /// then grown by walking the stores directly from its own root
-/// (LinkStore::Partners for each contained parent, AtomStore::Find for
-/// membership and filter rows; the PartnersAt/FindVersionAt twins when a
-/// view is pinned behind the head), so deriving one molecule costs about
-/// one molecule, whatever the database size.
+/// (LinkStore::PartnersAt for each contained parent, AtomStore::FindVersionAt
+/// for membership and filter rows, both at the options' view), so deriving
+/// one molecule costs about one molecule, whatever the database size.
 ///
 /// Lock contract: the engine borrows the stores. From Create() to the last
 /// derive call the caller holds the database's shared lock (the MQL session
@@ -98,8 +97,6 @@ class DerivationEngine {
   /// One description node resolved against its atom store.
   struct Node {
     const AtomStore* store = nullptr;
-    /// The view differs from the head here: reads go through FindVersionAt.
-    bool pinned = false;
     std::vector<uint32_t> in_edges;  // description edge indexes
     /// options_.node_filters entry for this node, or nullptr.
     const expr::CompiledPredicate* filter = nullptr;
@@ -112,7 +109,6 @@ class DerivationEngine {
     size_t to_node = 0;
     const LinkStore* store = nullptr;
     LinkDirection direction = LinkDirection::kForward;
-    bool pinned = false;  // reads go through PartnersAt
   };
   struct Workspace;
 
@@ -120,7 +116,9 @@ class DerivationEngine {
 
   /// The version of `id` in `node`'s store visible to this engine, or
   /// nullptr when the atom is not in the node's occurrence.
-  const Atom* FindAtom(const Node& node, AtomId id) const;
+  const Atom* FindAtom(const Node& node, AtomId id) const {
+    return node.store->FindVersionAt(id, options_.view);
+  }
   /// Derives the molecule for one root; nullopt when a pushed filter or the
   /// residual program rejected it, an error status when a program failed to
   /// evaluate.

@@ -1,7 +1,6 @@
 #include "molecule/operations.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "expr/compile.h"
@@ -35,7 +34,7 @@ Result<MoleculeType> RestrictMolecules(const Database& db,
                                        const MoleculeType& mt,
                                        const expr::ExprPtr& predicate,
                                        std::string result_name,
-                                       std::optional<ReadView> view) {
+                                       ReadView view) {
   MAD_RETURN_IF_ERROR(CheckName(result_name));
   static Counter& ops = Registry::Global().GetCounter("molecule_ops.sigma");
   ops.Increment();

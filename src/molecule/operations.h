@@ -2,7 +2,6 @@
 #define MAD_MOLECULE_OPERATIONS_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,14 +17,14 @@ namespace mad {
 /// molecules satisfying the qualification formula. The description is
 /// unchanged (rsd = md). The formula is compiled once into a flat predicate
 /// program and evaluated per molecule in input order; the first failing
-/// molecule's error is returned. With `view`, the predicate program
-/// resolves molecule atoms through the versions visible at that epoch
-/// (DESIGN.md §11) — pass the view the operand was derived at.
+/// molecule's error is returned. The predicate program resolves molecule
+/// atoms through the versions visible at `view` (DESIGN.md §11; the head
+/// by default) — pass the view the operand was derived at.
 Result<MoleculeType> RestrictMolecules(const Database& db,
                                        const MoleculeType& mt,
                                        const expr::ExprPtr& predicate,
                                        std::string result_name,
-                                       std::optional<ReadView> view = std::nullopt);
+                                       ReadView view = kHeadView);
 
 /// Specification of a molecule-type projection Π: which node labels to
 /// keep (must include the root and stay coherent) and, optionally, which

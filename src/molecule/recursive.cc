@@ -21,19 +21,16 @@ Status ValidateRecursiveDescription(const Database& db,
 
 Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
     const Database& db, const RecursiveDescription& rd, AtomId root,
-    std::optional<ReadView> view) {
+    ReadView view) {
   MAD_RETURN_IF_ERROR(ValidateRecursiveDescription(db, rd));
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(rd.atom_type));
-  const bool root_present = view.has_value()
-                                ? at->occurrence().ContainsAt(root, *view)
-                                : at->occurrence().Contains(root);
-  if (!root_present) {
+  if (!at->occurrence().ContainsAt(root, view)) {
     return Status::NotFound("atom #" + std::to_string(root.value) +
                             " is not in atom type '" + rd.atom_type + "'");
   }
   MAD_ASSIGN_OR_RETURN(const LinkType* lt, db.GetLinkType(rd.link_type));
   const LinkStore& store = lt->occurrence();
-  const bool pinned = view.has_value() && !store.HeadVisibleAt(*view);
+  std::vector<AtomId> scratch;  // PartnersAt scratch
 
   RecursiveMolecule molecule(root);
   std::vector<AtomId> frontier = {root};
@@ -44,24 +41,16 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
     ScopedSpan round_span("closure-round", "depth " + std::to_string(depth));
     round_span.set_rows_in(static_cast<int64_t>(frontier.size()));
     std::vector<AtomId> next;
-    auto expand = [&](AtomId atom, AtomId partner) {
-      // Record every traversed link; expand each atom once (cycle/DAG
-      // sharing safety).
-      ++links_traversed;
-      molecule.AddLink(rd.direction == LinkDirection::kForward
-                           ? Link{atom, partner}
-                           : Link{partner, atom});
-      if (molecule.AddMember(partner)) next.push_back(partner);
-    };
     for (AtomId atom : frontier) {
-      if (pinned) {
-        for (AtomId partner : store.PartnersAt(atom, rd.direction, *view)) {
-          expand(atom, partner);
-        }
-      } else {
-        for (AtomId partner : store.Partners(atom, rd.direction)) {
-          expand(atom, partner);
-        }
+      for (AtomId partner :
+           store.PartnersAt(atom, rd.direction, view, &scratch)) {
+        // Record every traversed link; expand each atom once (cycle/DAG
+        // sharing safety).
+        ++links_traversed;
+        molecule.AddLink(rd.direction == LinkDirection::kForward
+                             ? Link{atom, partner}
+                             : Link{partner, atom});
+        if (molecule.AddMember(partner)) next.push_back(partner);
       }
     }
     round_span.set_rows_out(static_cast<int64_t>(next.size()));
@@ -81,18 +70,12 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
 
 Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     const Database& db, const RecursiveDescription& rd,
-    std::optional<ReadView> view) {
+    ReadView view) {
   MAD_RETURN_IF_ERROR(ValidateRecursiveDescription(db, rd));
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(rd.atom_type));
   std::vector<AtomId> roots;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
-      roots.push_back(atom->id);
-    }
-  } else {
-    for (const Atom& atom : at->occurrence().atoms()) {
-      roots.push_back(atom.id);
-    }
+  for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
+    roots.push_back(atom->id);
   }
   ScopedSpan span("closure", rd.atom_type + " via " + rd.link_type);
   span.set_rows_in(static_cast<int64_t>(roots.size()));
@@ -124,7 +107,7 @@ Status CheckExpansionRoot(const RecursiveDescription& rd,
 Result<ExpandedRecursiveMolecule> DeriveExpandedRecursiveMoleculeFor(
     const Database& db, const RecursiveDescription& rd,
     const MoleculeDescription& expansion, AtomId root,
-    std::optional<ReadView> view) {
+    ReadView view) {
   MAD_RETURN_IF_ERROR(CheckExpansionRoot(rd, expansion));
   ExpandedRecursiveMolecule out{RecursiveMolecule(root), {}};
   MAD_ASSIGN_OR_RETURN(out.closure,
@@ -144,19 +127,13 @@ Result<std::vector<ExpandedRecursiveMolecule>>
 DeriveExpandedRecursiveMolecules(const Database& db,
                                  const RecursiveDescription& rd,
                                  const MoleculeDescription& expansion,
-                                 std::optional<ReadView> view) {
+                                 ReadView view) {
   MAD_RETURN_IF_ERROR(ValidateRecursiveDescription(db, rd));
   MAD_RETURN_IF_ERROR(CheckExpansionRoot(rd, expansion));
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(rd.atom_type));
   std::vector<AtomId> roots;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
-      roots.push_back(atom->id);
-    }
-  } else {
-    for (const Atom& atom : at->occurrence().atoms()) {
-      roots.push_back(atom.id);
-    }
+  for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
+    roots.push_back(atom->id);
   }
   std::vector<ExpandedRecursiveMolecule> out;
   out.reserve(roots.size());

@@ -1,7 +1,6 @@
 #ifndef MAD_MOLECULE_RECURSIVE_H_
 #define MAD_MOLECULE_RECURSIVE_H_
 
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -71,17 +70,17 @@ Status ValidateRecursiveDescription(const Database& db,
                                     const RecursiveDescription& rd);
 
 /// Derives the recursive molecule rooted at `root` (breadth-first, cycle
-/// safe). With `view`, membership and traversal resolve through the
-/// versions visible at that epoch (DESIGN.md §11) instead of the head.
+/// safe). Membership and traversal resolve through the versions visible at
+/// `view` (DESIGN.md §11; the head by default).
 Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
     const Database& db, const RecursiveDescription& rd, AtomId root,
-    std::optional<ReadView> view = std::nullopt);
+    ReadView view = kHeadView);
 
-/// Derives one recursive molecule per atom of the root atom type (at the
-/// pinned view when one is given).
+/// Derives one recursive molecule per atom of the root atom type visible
+/// at `view`.
 Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     const Database& db, const RecursiveDescription& rd,
-    std::optional<ReadView> view = std::nullopt);
+    ReadView view = kHeadView);
 
 /// A recursive molecule whose closure members are expanded by a plain
 /// molecule structure — [Schö89]'s recursive molecule types as full data
@@ -101,14 +100,14 @@ struct ExpandedRecursiveMolecule {
 Result<ExpandedRecursiveMolecule> DeriveExpandedRecursiveMoleculeFor(
     const Database& db, const RecursiveDescription& rd,
     const MoleculeDescription& expansion, AtomId root,
-    std::optional<ReadView> view = std::nullopt);
+    ReadView view = kHeadView);
 
 /// One expanded recursive molecule per atom of the recursion's atom type.
 Result<std::vector<ExpandedRecursiveMolecule>>
 DeriveExpandedRecursiveMolecules(const Database& db,
                                  const RecursiveDescription& rd,
                                  const MoleculeDescription& expansion,
-                                 std::optional<ReadView> view = std::nullopt);
+                                 ReadView view = kHeadView);
 
 /// Materialises the recursion result as a first-class schema object
 /// (recursive molecule types as data model objects, [Schö89]): defines a

@@ -163,7 +163,8 @@ Result<std::vector<size_t>> ReferencedNodes(const Database& db,
 
 Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
                                            const MoleculeDescription& md,
-                                           const expr::ExprPtr& predicate) {
+                                           const expr::ExprPtr& predicate,
+                                           const ReadView& view) {
   PushdownPlan plan;
   if (predicate == nullptr) return plan;
 
@@ -210,9 +211,13 @@ Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
   // Root seeds: only the WHERE's first conjunct may pre-filter roots (see
   // ScanSeed); the columnar scan seed only when no index matched. The root
   // comes first in topological order, so a pushed root group always starts
-  // with that conjunct.
+  // with that conjunct. The index and the columns mirror the head, so
+  // neither seed applies when the root store's head is not the view.
   auto root_group = per_node.find(root_idx);
-  if (root_group != per_node.end()) {
+  MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
+                       db.GetAtomType(md.root_node().type_name));
+  if (root_group != per_node.end() &&
+      root_at->occurrence().HeadVisibleAt(view)) {
     const expr::Expr& first = *root_group->second.front();
     plan.seed = MatchIndexSeed(db, md, first);
     if (!plan.seed.has_value()) plan.scan_seed = MatchScanSeed(db, md, first);

@@ -10,6 +10,7 @@
 #include "molecule/description.h"
 #include "storage/database.h"
 #include "storage/index.h"
+#include "storage/version.h"
 #include "util/result.h"
 
 namespace mad {
@@ -42,9 +43,10 @@ struct IndexSeed {
 /// root. Only the WHERE's *first* conjunct qualifies — AND evaluates left
 /// to right with short-circuit, so dropping rows the first conjunct rejects
 /// cannot suppress a later conjunct's runtime error — and the session
-/// applies the seed only when the kernel reports zero error rows, the head
-/// equals the pinned view, and the root column is regular. The root's node
-/// filter still verifies the conjunct, so the seed only narrows.
+/// applies the seed only when the kernel reports zero error rows and the
+/// root column is regular (the planner offers it only when the head is the
+/// view). The root's node filter still verifies the conjunct, so the seed
+/// only narrows.
 struct ScanSeed {
   std::string attribute;
   size_t value_slot = 0;
@@ -85,10 +87,14 @@ struct PushdownPlan {
 /// topological order. Everything else — mixed conjuncts, disjunctions over
 /// several nodes, constants, and whatever follows them — stays residual,
 /// so pushed and unpushed plans evaluate conjuncts in the same order and
-/// raise the same errors. A null predicate yields an empty plan.
+/// raise the same errors. Root seeds are planned only when the root
+/// store's head is visible at `view` (the head by default): the index and
+/// the columns they read mirror the head. A null predicate yields an empty
+/// plan.
 Result<PushdownPlan> PlanPredicatePushdown(const Database& db,
                                            const MoleculeDescription& md,
-                                           const expr::ExprPtr& predicate);
+                                           const expr::ExprPtr& predicate,
+                                           const ReadView& view = kHeadView);
 
 /// Description node indices referenced by `node` — attribute references
 /// plus COUNT/FORALL quantifiers — sorted and unique. Resolution mirrors

@@ -25,16 +25,6 @@ namespace {
 /// names never collide across concurrently-live sessions.
 std::atomic<uint64_t> g_next_session_id{1};
 
-/// Head lookup, or version lookup when the head holds versions the view
-/// must not see (another transaction's pending writes).
-const Atom* FindAtView(const AtomStore& store, AtomId id,
-                       const std::optional<ReadView>& view) {
-  if (view.has_value() && !store.HeadVisibleAt(*view)) {
-    return store.FindVersionAt(id, *view);
-  }
-  return store.Find(id);
-}
-
 /// Evaluates a WHERE predicate over one recursive molecule. Permitted
 /// qualifiers: "root" (binds the root atom only), the recursion's atom
 /// type (existential over the closure members), or none (unqualified
@@ -42,8 +32,7 @@ const Atom* FindAtView(const AtomStore& store, AtomId id,
 class RecursiveQualifier {
  public:
   RecursiveQualifier(const Database& db, const RecursiveDescription& rd,
-                     const expr::ExprPtr& predicate,
-                     std::optional<ReadView> view = std::nullopt)
+                     const expr::ExprPtr& predicate, ReadView view)
       : db_(db), rd_(rd), predicate_(predicate), view_(view) {}
 
   Result<bool> Matches(const RecursiveMolecule& m) const {
@@ -95,7 +84,7 @@ class RecursiveQualifier {
 
     MAD_ASSIGN_OR_RETURN(const AtomType* at, db_.GetAtomType(rd_.atom_type));
     const Schema& schema = at->description();
-    const Atom* root_atom = FindAtView(at->occurrence(), m.root(), view_);
+    const Atom* root_atom = at->occurrence().FindVersionAt(m.root(), view_);
     if (root_atom == nullptr) {
       return Status::Internal("recursive molecule root missing from store");
     }
@@ -108,7 +97,7 @@ class RecursiveQualifier {
     // Existential over every closure member (the root included).
     for (const auto& level : m.levels()) {
       for (AtomId id : level) {
-        const Atom* atom = FindAtView(at->occurrence(), id, view_);
+        const Atom* atom = at->occurrence().FindVersionAt(id, view_);
         if (atom == nullptr) {
           return Status::Internal("recursive molecule atom missing from store");
         }
@@ -123,7 +112,7 @@ class RecursiveQualifier {
   const Database& db_;
   const RecursiveDescription& rd_;
   const expr::ExprPtr& predicate_;
-  std::optional<ReadView> view_;
+  ReadView view_;
 };
 
 }  // namespace
@@ -405,16 +394,11 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
   DerivationStats dstats;
   std::optional<MoleculeType> derived;
   if (options_.enable_root_pushdown && stmt.where != nullptr) {
+    // Root seeds come only when the root store's head is the view.
     MAD_ASSIGN_OR_RETURN(PushdownPlan plan,
-                         PlanPredicatePushdown(*db_, *md, stmt.where));
-    // The index mirrors the head, so root seeding only applies when the
-    // head IS the pinned view (no concurrent pending versions on the root
-    // store).
+                         PlanPredicatePushdown(*db_, *md, stmt.where, view));
     MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
                          db_->GetAtomType(md->root_node().type_name));
-    if (plan.seed.has_value() && !root_at->occurrence().HeadVisibleAt(view)) {
-      plan.seed.reset();
-    }
     // The programs live on this frame; the engine borrows them only for
     // the derive call below. An index-seeded statement derives only the
     // seeded molecules, so its programs run scalar: a batch leaf would
@@ -473,17 +457,17 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
     // Columnar scan seed: no index matched, but the WHERE's first
     // conjunct is a plain root `attr ⊕ literal` — run the batch compare
     // kernel over the whole root column and derive only the passing rows.
-    // Applies only when the head is the pinned view, the column is clean,
-    // and the kernel reports zero error rows (an erroring row must instead
-    // surface its error through ordinary evaluation). Row order is
-    // occurrence order by construction, so seeded derivation stays
-    // bit-identical to the unseeded scan.
+    // Applies only when the column is clean and the kernel reports zero
+    // error rows (an erroring row must instead surface its error through
+    // ordinary evaluation); the planner already checked that the head is
+    // the view. Row order is occurrence order by construction, so seeded
+    // derivation stays bit-identical to the unseeded scan.
     if (!seeded.has_value() && plan.scan_seed.has_value()) {
       const AtomStore& store = root_at->occurrence();
       const ColumnSet& columns = store.columns();
       const Column* column = columns.column(plan.scan_seed->value_slot);
       expr::RowBitmaps bits;
-      if (store.HeadVisibleAt(view) && column != nullptr &&
+      if (column != nullptr &&
           expr::BuildCompareBitmaps(*column, columns.rows(),
                                     plan.scan_seed->op, plan.scan_seed->value,
                                     plan.scan_seed->attr_on_left, &bits) &&
@@ -574,29 +558,26 @@ Result<QueryResult> Session::RunInsertAtom(InsertAtomStatement stmt) {
 
 namespace {
 
-/// Atoms of `aname` matching `predicate` (validated up front), resolved
-/// through `view` when the head holds versions it must not see.
-Result<std::vector<AtomId>> MatchingAtoms(
-    const Database& db, const std::string& aname,
-    const expr::ExprPtr& predicate,
-    const std::optional<ReadView>& view = std::nullopt) {
+/// Atoms of `aname` visible at `view` matching `predicate` (validated up
+/// front; null matches every atom), in occurrence order.
+Result<std::vector<AtomId>> MatchingAtoms(const Database& db,
+                                          const std::string& aname,
+                                          const expr::ExprPtr& predicate,
+                                          const ReadView& view) {
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(aname));
-  MAD_RETURN_IF_ERROR(
-      expr::ValidateAgainstSchema(*predicate, aname, at->description()));
+  if (predicate != nullptr) {
+    MAD_RETURN_IF_ERROR(
+        expr::ValidateAgainstSchema(*predicate, aname, at->description()));
+  }
   std::vector<AtomId> matches;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
+  for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
+    if (predicate != nullptr) {
       MAD_ASSIGN_OR_RETURN(
           bool hit,
           expr::EvalOnAtom(*predicate, aname, at->description(), *atom));
-      if (hit) matches.push_back(atom->id);
+      if (!hit) continue;
     }
-    return matches;
-  }
-  for (const Atom& atom : at->occurrence().atoms()) {
-    MAD_ASSIGN_OR_RETURN(
-        bool hit, expr::EvalOnAtom(*predicate, aname, at->description(), atom));
-    if (hit) matches.push_back(atom.id);
+    matches.push_back(atom->id);
   }
   return matches;
 }
@@ -668,24 +649,11 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
   {
     ReaderLock read_lock(db_->mutex());
     const ReadView view = CurrentView();
-    std::vector<AtomId> targets;
-    if (stmt.predicate != nullptr) {
-      MAD_ASSIGN_OR_RETURN(
-          targets, MatchingAtoms(*db_, stmt.atom_type, stmt.predicate, view));
-    } else if (!at->occurrence().HeadVisibleAt(view)) {
-      for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
-        targets.push_back(atom->id);
-      }
-    } else {
-      for (const Atom& atom : at->occurrence().atoms()) {
-        targets.push_back(atom.id);
-      }
-    }
-
+    MAD_ASSIGN_OR_RETURN(
+        std::vector<AtomId> targets,
+        MatchingAtoms(*db_, stmt.atom_type, stmt.predicate, view));
     for (AtomId id : targets) {
-      const Atom* atom = at->occurrence().HeadVisibleAt(view)
-                             ? at->occurrence().Find(id)
-                             : at->occurrence().FindVersionAt(id, view);
+      const Atom* atom = at->occurrence().FindVersionAt(id, view);
       if (atom == nullptr) continue;
       expr::BindingSet bindings;
       bindings.Bind(stmt.atom_type, &schema, atom);
@@ -713,6 +681,11 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
 Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
   const SelectStatement& select = stmt.select;
   const StructureNode& root = *select.from.structure;
+  // Plan as RunSelect would: under the shared lock (the catalog, indexes
+  // and store heads are read) and at this session's view. Compiling reads
+  // no atom, so no epoch pin is needed.
+  ReaderLock read_lock(db_->mutex());
+  const ReadView view = CurrentView();
 
   std::string plan = "-- molecule algebra translation --\n";
 
@@ -771,7 +744,7 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
       // How the Σ will actually run: per-node compiled filters inside the
       // derivation, an index-seeded root set, and the compiled residual.
       Result<PushdownPlan> pushed =
-          PlanPredicatePushdown(*db_, *md, select.where);
+          PlanPredicatePushdown(*db_, *md, select.where, view);
       if (pushed.ok()) {
         // Same execution mode as RunSelect: index-seeded plans run scalar.
         const expr::CompiledPredicate::BatchMode mode =
@@ -783,7 +756,7 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
                   "]: " + filter.predicate->ToString();
           Result<expr::CompiledPredicate> program =
               expr::CompiledPredicate::Compile(*db_, *md, filter.predicate,
-                                               std::nullopt, mode);
+                                               view, mode);
           if (program.ok()) plan += "   -- compiled: " + program->Summary();
           plan += "\n";
         }
@@ -801,7 +774,7 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
           plan += "  residual: " + pushed->residual->ToString();
           Result<expr::CompiledPredicate> program =
               expr::CompiledPredicate::Compile(*db_, *md, pushed->residual,
-                                               std::nullopt, mode);
+                                               view, mode);
           if (program.ok()) plan += "   -- compiled: " + program->Summary();
           plan += "\n";
         }
@@ -839,7 +812,9 @@ Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
   }
 
   // EXPLAIN ANALYZE: execute the select under a fresh trace and report the
-  // plan together with the recorded operator span tree.
+  // plan together with the recorded operator span tree. RunSelect takes
+  // the shared lock itself.
+  read_lock.Unlock();
   auto trace = std::make_shared<QueryTrace>();
   Result<QueryResult> executed = [&] {
     TraceScope scope(trace.get());
@@ -1009,23 +984,8 @@ Result<QueryResult> Session::RunDelete(DeleteStatement stmt) {
   std::vector<AtomId> doomed;
   {
     ReaderLock read_lock(db_->mutex());
-    const ReadView view = CurrentView();
-    if (stmt.predicate != nullptr) {
-      MAD_ASSIGN_OR_RETURN(
-          doomed, MatchingAtoms(*db_, stmt.atom_type, stmt.predicate, view));
-    } else {
-      MAD_ASSIGN_OR_RETURN(const AtomType* at,
-                           db_->GetAtomType(stmt.atom_type));
-      if (!at->occurrence().HeadVisibleAt(view)) {
-        for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
-          doomed.push_back(atom->id);
-        }
-      } else {
-        for (const Atom& atom : at->occurrence().atoms()) {
-          doomed.push_back(atom.id);
-        }
-      }
-    }
+    MAD_ASSIGN_OR_RETURN(doomed, MatchingAtoms(*db_, stmt.atom_type,
+                                               stmt.predicate, CurrentView()));
   }
   QueryResult result;
   for (AtomId id : doomed) {

@@ -169,8 +169,8 @@ size_t AtomStore::ReclaimBefore(uint64_t horizon) {
   return reclaimed;
 }
 
-const Atom* AtomStore::FindVersionAt(AtomId id, const ReadView& view) const {
-  AssertOwnerSharedHeld();
+const Atom* AtomStore::FindVersionBehindHead(AtomId id,
+                                             const ReadView& view) const {
   const uint64_t* pos = by_id_.Find(id.value);
   if (pos != nullptr &&
       VisibleAt(meta_[*pos].create_epoch, kNeverDeleted, view)) {

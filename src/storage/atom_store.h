@@ -25,7 +25,8 @@ namespace mad {
 /// [create_epoch, delete_epoch) interval, so a reader pinned at epoch E
 /// reconstructs the exact occurrence at E (SnapshotAt / FindVersionAt)
 /// while head readers pay nothing: when no version newer than E and no
-/// pending write exists (`HeadVisibleAt`), head *is* the snapshot.
+/// pending write exists (`HeadVisibleAt`), head *is* the snapshot, and the
+/// view-taking reads answer from the head alone.
 ///
 /// Columnar mirror (DESIGN.md §13): every head mutation also maintains a
 /// column-major ColumnSet (per-attribute typed arrays + null bitmaps + an
@@ -104,16 +105,22 @@ class AtomStore {
 
   // --- Epoch-pinned reads --------------------------------------------------
 
-  /// True iff the head, as is, equals the snapshot at `view`: no pending
-  /// stamps anywhere and no version boundary after the view's epoch.
+  /// True iff the head, as is, equals the snapshot at `view`: `view` is
+  /// kHeadView, or no pending stamps exist anywhere and no version boundary
+  /// lies after the view's epoch.
   bool HeadVisibleAt(const ReadView& view) const {
     AssertOwnerSharedHeld();
-    return pending_count_ == 0 && view.epoch >= clean_epoch_;
+    return view.epoch == kHeadView.epoch ||
+           (pending_count_ == 0 && view.epoch >= clean_epoch_);
   }
 
-  /// The version of `id` visible at `view`, or nullptr. Head first, then
-  /// the archive. Pointer invalidated by mutation of this store.
-  const Atom* FindVersionAt(AtomId id, const ReadView& view) const;
+  /// The version of `id` visible at `view`, or nullptr. When
+  /// HeadVisibleAt(view) this is Find(id); otherwise the head version if
+  /// visible, then the archive. Pointer invalidated by mutation of this
+  /// store.
+  const Atom* FindVersionAt(AtomId id, const ReadView& view) const {
+    return HeadVisibleAt(view) ? Find(id) : FindVersionBehindHead(id, view);
+  }
 
   bool ContainsAt(AtomId id, const ReadView& view) const {
     return FindVersionAt(id, view) != nullptr;
@@ -182,6 +189,9 @@ class AtomStore {
   /// under the owning Database's shared lock (Database binds owner_mu_ to
   /// its storage lock at type-definition time). Runtime no-op.
   void AssertOwnerSharedHeld() const MAD_ASSERT_SHARED_CAPABILITY(owner_mu_) {}
+
+  /// FindVersionAt for a view the head is not visible at.
+  const Atom* FindVersionBehindHead(AtomId id, const ReadView& view) const;
 
   const SharedMutex* owner_mu_ = nullptr;
   std::vector<Atom> atoms_;

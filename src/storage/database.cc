@@ -957,48 +957,12 @@ std::vector<const LinkType*> Database::LinkTypesTouching(
   return out;
 }
 
-Result<const Atom*> Database::GetAtom(const std::string& aname,
-                                      AtomId id) const {
-  mu_.AssertReaderHeld();  // escape hatch: conditional caller-locks read
-  MAD_ASSIGN_OR_RETURN(const AtomType* at, GetAtomType(aname));
-  const Atom* atom = at->occurrence().Find(id);
-  if (atom == nullptr) {
-    return Status::NotFound("atom #" + std::to_string(id.value) +
-                            " not in atom type '" + aname + "'");
-  }
-  return atom;
-}
-
 Result<Value> Database::GetAttribute(const std::string& aname, AtomId id,
                                      const std::string& attribute) const {
   mu_.AssertReaderHeld();  // escape hatch: conditional caller-locks read
   MAD_ASSIGN_OR_RETURN(const AtomType* at, GetAtomType(aname));
   MAD_ASSIGN_OR_RETURN(size_t idx, at->description().IndexOf(attribute));
   const Atom* atom = at->occurrence().Find(id);
-  if (atom == nullptr) {
-    return Status::NotFound("atom #" + std::to_string(id.value) +
-                            " not in atom type '" + aname + "'");
-  }
-  return atom->values[idx];
-}
-
-Result<const Atom*> Database::GetAtomAt(const std::string& aname, AtomId id,
-                                        const ReadView& view) const {
-  MAD_ASSIGN_OR_RETURN(const AtomType* at, GetAtomType(aname));
-  const Atom* atom = at->occurrence().FindVersionAt(id, view);
-  if (atom == nullptr) {
-    return Status::NotFound("atom #" + std::to_string(id.value) +
-                            " not in atom type '" + aname + "'");
-  }
-  return atom;
-}
-
-Result<Value> Database::GetAttributeAt(const std::string& aname, AtomId id,
-                                       const std::string& attribute,
-                                       const ReadView& view) const {
-  MAD_ASSIGN_OR_RETURN(const AtomType* at, GetAtomType(aname));
-  MAD_ASSIGN_OR_RETURN(size_t idx, at->description().IndexOf(attribute));
-  const Atom* atom = at->occurrence().FindVersionAt(id, view);
   if (atom == nullptr) {
     return Status::NotFound("atom #" + std::to_string(id.value) +
                             " not in atom type '" + aname + "'");

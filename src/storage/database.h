@@ -349,25 +349,14 @@ class Database {
   /// Link types having `aname` at either end, in definition order.
   std::vector<const LinkType*> LinkTypesTouching(const std::string& aname) const;
 
-  /// The atom `id` within atom type `aname`; NotFound if absent.
-  Result<const Atom*> GetAtom(const std::string& aname, AtomId id) const;
-
   /// Value of `attribute` of atom `id` in atom type `aname`.
   Result<Value> GetAttribute(const std::string& aname, AtomId id,
                              const std::string& attribute) const;
 
   // --- Epoch-pinned lookup ---------------------------------------------------
-  // Like the lookups above, but resolving through the version visible at
-  // `view`. Caller-locks contract, machine-checked on clang: hold at least
-  // a shared lock on mutex() across the whole read.
-
-  Result<const Atom*> GetAtomAt(const std::string& aname, AtomId id,
-                                const ReadView& view) const
-      MAD_REQUIRES_SHARED(mu_);
-  Result<Value> GetAttributeAt(const std::string& aname, AtomId id,
-                               const std::string& attribute,
-                               const ReadView& view) const
-      MAD_REQUIRES_SHARED(mu_);
+  // Resolves through the versions visible at `view`. Caller-locks contract,
+  // machine-checked on clang: hold at least a shared lock on mutex() across
+  // the whole read.
 
   /// Atom ids of `aname` whose `attribute` equals `value` at `view`, in
   /// occurrence order. Uses the index only when the head equals the

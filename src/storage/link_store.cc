@@ -244,7 +244,7 @@ bool LinkStore::Contains(AtomId first, AtomId second) const {
 
 bool LinkStore::ContainsAt(AtomId first, AtomId second,
                            const ReadView& view) const {
-  AssertOwnerSharedHeld();
+  if (HeadVisibleAt(view)) return Contains(first, second);
   auto it = index_.find(Link{first, second});
   if (it != index_.end() &&
       VisibleAt(it->second.create_epoch, kNeverDeleted, view)) {
@@ -259,10 +259,9 @@ bool LinkStore::ContainsAt(AtomId first, AtomId second,
   return false;
 }
 
-std::vector<AtomId> LinkStore::PartnersAt(AtomId atom, LinkDirection direction,
-                                          const ReadView& view) const {
-  AssertOwnerSharedHeld();
-  if (HeadVisibleAt(view)) return Partners(atom, direction);
+void LinkStore::PartnersBehindHead(AtomId atom, LinkDirection direction,
+                                   const ReadView& view,
+                                   std::vector<AtomId>* out) const {
   const bool forward = direction == LinkDirection::kForward;
   std::vector<std::pair<uint64_t, AtomId>> ordered;
   if (const std::vector<AtomId>* list =
@@ -284,10 +283,8 @@ std::vector<AtomId> LinkStore::PartnersAt(AtomId atom, LinkDirection direction,
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<AtomId> partners;
-  partners.reserve(ordered.size());
-  for (const auto& [seq, partner] : ordered) partners.push_back(partner);
-  return partners;
+  out->clear();
+  for (const auto& [seq, partner] : ordered) out->push_back(partner);
 }
 
 }  // namespace mad

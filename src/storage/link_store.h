@@ -52,8 +52,8 @@ enum class LinkDirection {
 /// Versioning mirrors AtomStore (DESIGN.md §11): the live structures are
 /// the head; superseded links move into a node-stable archive stamped
 /// [create_epoch, delete_epoch), and PartnersAt/ContainsAt reconstruct the
-/// occurrence at a pinned epoch. When `HeadVisibleAt` holds, head readers
-/// pay nothing extra.
+/// occurrence at a pinned epoch. When `HeadVisibleAt` holds, they read the
+/// head and pay nothing extra.
 class LinkStore {
  public:
   struct ArchivedLink {
@@ -127,18 +127,27 @@ class LinkStore {
 
   // --- Epoch-pinned reads --------------------------------------------------
 
+  /// See AtomStore::HeadVisibleAt.
   bool HeadVisibleAt(const ReadView& view) const {
     AssertOwnerSharedHeld();
-    return pending_count_ == 0 && view.epoch >= clean_epoch_;
+    return view.epoch == kHeadView.epoch ||
+           (pending_count_ == 0 && view.epoch >= clean_epoch_);
   }
 
   bool ContainsAt(AtomId first, AtomId second, const ReadView& view) const;
 
   /// Partners of `atom` in the occurrence at `view`, in the link-insertion
-  /// order of a database materialized at that epoch. Returns by value;
-  /// prefer Partners() on the HeadVisibleAt fast path.
-  std::vector<AtomId> PartnersAt(AtomId atom, LinkDirection direction,
-                                 const ReadView& view) const;
+  /// order of a database materialized at that epoch. When
+  /// HeadVisibleAt(view) this is Partners() itself — no allocation, no
+  /// copy; otherwise `scratch` is refilled and returned. The reference
+  /// lives until the next mutation or the next use of `scratch`.
+  const std::vector<AtomId>& PartnersAt(AtomId atom, LinkDirection direction,
+                                        const ReadView& view,
+                                        std::vector<AtomId>* scratch) const {
+    if (HeadVisibleAt(view)) return Partners(atom, direction);
+    PartnersBehindHead(atom, direction, view, scratch);
+    return *scratch;
+  }
 
   /// Create stamp of the live link, or nullopt if absent.
   std::optional<uint64_t> CreateEpochOf(AtomId first, AtomId second) const {
@@ -195,6 +204,11 @@ class LinkStore {
 
   /// See AtomStore::AssertOwnerSharedHeld. Runtime no-op.
   void AssertOwnerSharedHeld() const MAD_ASSERT_SHARED_CAPABILITY(owner_mu_) {}
+
+  /// PartnersAt for a view the head is not visible at, into `out`.
+  void PartnersBehindHead(AtomId atom, LinkDirection direction,
+                          const ReadView& view,
+                          std::vector<AtomId>* out) const;
 
   const SharedMutex* owner_mu_ = nullptr;
   std::vector<Link> links_;

@@ -36,6 +36,17 @@ struct ReadView {
   uint64_t self_stamp = 0;
 };
 
+/// The head view: the newest version of every id, every transaction's
+/// pending writes included — what AtomStore::atoms() and
+/// LinkStore::Partners() hold. Its epoch lies above every pending stamp, so
+/// every head version was created for it, and below kNeverDeleted, so no
+/// head version is deleted for it; every archived version carries a delete
+/// stamp at or below it and stays hidden. VisibleAt therefore needs no
+/// special case, and the stores answer HeadVisibleAt(kHeadView) with true
+/// even while transactions are pending. Readers that hold no snapshot
+/// (single-threaded callers, the algebra, tests) read at it by default.
+inline constexpr ReadView kHeadView{kNeverDeleted - 1, 0};
+
 /// True iff a version stamped [create_epoch, delete_epoch) exists for
 /// `view`: created at or before the view's epoch (or by the view's own
 /// transaction) and not deleted at or before it (nor by its own

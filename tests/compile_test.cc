@@ -46,7 +46,7 @@ class CompileTest : public ::testing::Test {
                        const std::vector<Molecule>& set) {
     auto interpreter = MoleculeQualifier::Create(db_, *md_, predicate);
     auto scalar = e::CompiledPredicate::Compile(
-        db_, *md_, predicate, std::nullopt,
+        db_, *md_, predicate, kHeadView,
         e::CompiledPredicate::BatchMode::kScalar);
     auto batch = e::CompiledPredicate::Compile(db_, *md_, predicate);
     ASSERT_EQ(interpreter.ok(), scalar.ok())
@@ -252,7 +252,7 @@ TEST_F(CompileTest, BatchPlanningAndIntrospection) {
   EXPECT_NE(batch->Summary().find("batch[1/1 leaves]"), std::string::npos);
   // kScalar turns planning off.
   auto scalar = e::CompiledPredicate::Compile(
-      db_, *md_, e::Gt(e::Attr("point", "x"), e::Lit(1.0)), std::nullopt,
+      db_, *md_, e::Gt(e::Attr("point", "x"), e::Lit(1.0)), kHeadView,
       e::CompiledPredicate::BatchMode::kScalar);
   ASSERT_TRUE(scalar.ok());
   EXPECT_EQ(scalar->batch_leaf_count(), 0u);

@@ -9,11 +9,12 @@
 // Seeded random databases cover conjunctive multi-in-edge nodes, reverse
 // edges, reflexive link types, empty occurrences, and pinned views over
 // stores holding archived versions and another transaction's pending
-// writes. Beyond the molecule sets the tests check root order against
-// occurrence order, pushed filters against derive-then-restrict, thread
-// count invariance at parallelism 1/4/8 and under the engine's rule (0),
-// ValidateMolecule on head output, and the DerivationStats counters for
-// one fixed seed.
+// writes, and default options (which name no view) reading the head while
+// a transaction is open. Beyond the molecule sets the tests check root
+// order against occurrence order, pushed filters against
+// derive-then-restrict, thread count invariance at parallelism 1/4/8 and
+// under the engine's rule (0), ValidateMolecule on head output, and the
+// DerivationStats counters for one fixed seed.
 
 #include <gtest/gtest.h>
 
@@ -314,7 +315,7 @@ void CheckAgainstReference(const Database& db, const MoleculeDescription& md,
   std::optional<DerivationStats> first_stats;
   for (unsigned parallelism : kParallelisms) {
     DerivationOptions options(parallelism);
-    options.view = view;
+    options.view = view.value_or(kHeadView);
     DerivationStats stats;
     auto molecules = DeriveMolecules(db, md, options, &stats);
     ASSERT_TRUE(molecules.ok()) << molecules.status();
@@ -349,7 +350,7 @@ void CheckAgainstReference(const Database& db, const MoleculeDescription& md,
     reversed.push_back(AtomId{*it});
   }
   DerivationOptions options(1);
-  options.view = view;
+  options.view = view.value_or(kHeadView);
   auto engine = DerivationEngine::Create(db, md, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   auto some = engine->DeriveForRoots(reversed);
@@ -380,24 +381,26 @@ void CheckPushdown(const Database& db, const MoleculeDescription& md,
       e::Le(e::Attr(md.root_label(), "v"),
             e::Add(e::Attr(last, "v"), e::Lit(int64_t{30})));
   auto node_program =
-      e::CompiledPredicate::Compile(db, md, node_predicate, view);
+      e::CompiledPredicate::Compile(db, md, node_predicate,
+                                    view.value_or(kHeadView));
   ASSERT_TRUE(node_program.ok()) << node_program.status();
-  auto residual_program = e::CompiledPredicate::Compile(db, md, residual, view);
+  auto residual_program = e::CompiledPredicate::Compile(
+      db, md, residual, view.value_or(kHeadView));
   ASSERT_TRUE(residual_program.ok()) << residual_program.status();
 
   DerivationOptions all_options(1);
-  all_options.view = view;
+  all_options.view = view.value_or(kHeadView);
   auto all = DeriveMolecules(db, md, all_options);
   ASSERT_TRUE(all.ok()) << all.status();
   MoleculeType everything("all", md, *std::move(all));
   auto restricted = RestrictMolecules(db, everything,
                                       e::And(node_predicate, residual),
-                                      "restricted", view);
+                                      "restricted", view.value_or(kHeadView));
   ASSERT_TRUE(restricted.ok()) << restricted.status();
 
   for (unsigned parallelism : kParallelisms) {
     DerivationOptions options(parallelism);
-    options.view = view;
+    options.view = view.value_or(kHeadView);
     options.node_filters.emplace_back(*md.NodeIndex(filter_label),
                                       &*node_program);
     options.residual = &*residual_program;
@@ -460,6 +463,41 @@ TEST(DerivationReferenceTest, PinnedViewsMatchDef6OverArchivedAndPending) {
   }
 }
 
+TEST(DerivationReferenceTest,
+     DefaultOptionsReadTheHeadWhileATransactionIsOpen) {
+  for (uint32_t seed : {21u, 22u, 23u}) {
+    RandomDb r(seed);
+    r.Churn(20, nullptr);
+    // Another transaction's pending writes sit in the head; default options
+    // name no view and must read exactly that head, pending versions
+    // included.
+    std::unique_ptr<Transaction> txn = r.db.Begin();
+    r.Churn(12, txn.get());
+    {
+      ReaderLock lock(r.db.mutex());
+      for (const Shape& shape : Shapes()) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " / " + shape.name);
+        const MoleculeDescription md = Build(r.db, shape);
+        const std::vector<uint64_t> roots =
+            Occurrence(r.db, md.root_node().type_name, std::nullopt);
+        auto molecules = DeriveMolecules(r.db, md);
+        ASSERT_TRUE(molecules.ok()) << molecules.status();
+        ASSERT_EQ(molecules->size(), roots.size());
+        for (size_t i = 0; i < roots.size(); ++i) {
+          const Molecule& m = (*molecules)[i];
+          ASSERT_EQ(m.root().value, roots[i]) << "root order at " << i;
+          const SetMolecule expected =
+              Reference(r.db, md, roots[i], std::nullopt);
+          EXPECT_EQ(ToSets(m), expected)
+              << "engine:    " << Describe(ToSets(m))
+              << "\nreference: " << Describe(expected);
+        }
+      }
+    }
+    ASSERT_TRUE(txn->Rollback().ok());
+  }
+}
+
 /// DerivationStats are part of the output contract (EXPLAIN ANALYZE and
 /// SHOW METRICS report them). Pinned for one seed; the counts were
 /// captured from the CSR-snapshot engine this one replaced.
@@ -503,10 +541,11 @@ TEST(DerivationReferenceTest, StatsArePinnedForAFixedSeed) {
     if (want.pinned) view = old_pin.view();
     const std::string label = md.nodes()[1].label;
     auto program = e::CompiledPredicate::Compile(
-        r.db, md, e::Gt(e::Attr(label, "v"), e::Lit(int64_t{40})), view);
+        r.db, md, e::Gt(e::Attr(label, "v"), e::Lit(int64_t{40})),
+        view.value_or(kHeadView));
     ASSERT_TRUE(program.ok()) << program.status();
     DerivationOptions options(1);
-    options.view = view;
+    options.view = view.value_or(kHeadView);
     if (want.filtered) {
       options.node_filters.emplace_back(*md.NodeIndex(label), &*program);
     }

@@ -47,7 +47,9 @@ void RunDifferential(uint32_t seed, uint64_t key_range, int steps) {
       auto it = reference.find(probe);
       ASSERT_EQ(found != nullptr, it != reference.end())
           << "key " << probe << " at step " << step;
-      if (found != nullptr) ASSERT_EQ(*found, it->second);
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second);
+      }
     }
   }
 }

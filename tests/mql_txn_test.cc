@@ -191,6 +191,34 @@ TEST_F(MqlTxnTest, SessionDestructionRollsBackTheOpenTransaction) {
   EXPECT_TRUE(db_.CheckConsistency().ok());
 }
 
+TEST_F(MqlTxnTest, ExplainPlansAtTheSessionsView) {
+  // Both leaves are batch-eligible while the head is every reader's view.
+  const char* explain =
+      "EXPLAIN SELECT ALL FROM part WHERE part.name = 'engine' OR "
+      "part.name = 'x';";
+  auto clean = writer_->Execute(explain);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_NE(clean->message.find("batch[2/2 leaves]"), std::string::npos)
+      << clean->message;
+
+  // A pending write makes the head differ from the transaction's view, so
+  // SELECT compiles the predicate scalar there; EXPLAIN must plan the same.
+  ASSERT_TRUE(writer_->Execute("BEGIN;").ok());
+  ASSERT_TRUE(
+      writer_->Execute("UPDATE part SET name = 'motor' WHERE name = 'piston';")
+          .ok());
+  for (Session* session : {writer_.get(), reader_.get()}) {
+    auto pending = session->Execute(explain);
+    ASSERT_TRUE(pending.ok()) << pending.status();
+    EXPECT_NE(pending->message.find("loops over {part}, scalar"),
+              std::string::npos)
+        << pending->message;
+    EXPECT_EQ(pending->message.find("batch["), std::string::npos)
+        << pending->message;
+  }
+  ASSERT_TRUE(writer_->Execute("ROLLBACK;").ok());
+}
+
 }  // namespace
 }  // namespace mql
 }  // namespace mad

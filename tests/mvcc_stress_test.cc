@@ -45,8 +45,7 @@ Schema PartSchema() {
 /// structure in derivation order plus every member atom's values resolved
 /// through the view (head when `view` is null, i.e. on a scratch database
 /// materialized at the snapshot).
-std::string Digest(const Database& db, const MoleculeDescription& md,
-                   const std::vector<Molecule>& molecules,
+std::string Digest(const Database& db, const std::vector<Molecule>& molecules,
                    const ReadView* view) {
   auto part = db.GetAtomType("part");
   EXPECT_TRUE(part.ok());
@@ -241,7 +240,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
           failed.store(true);
           return;
         }
-        std::string digest = Digest(db, *md_, *molecules, &view);
+        std::string digest = Digest(db, *molecules, &view);
         if (baseline.empty()) {
           baseline = std::move(digest);
         } else if (digest != baseline) {
@@ -284,9 +283,10 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
                           .InsertAtomWithId("part", atom->id, atom->values)
                           .ok());
         }
+        std::vector<AtomId> partners;
         for (const Atom* atom : store.SnapshotAt(view)) {
-          for (AtomId child :
-               links.PartnersAt(atom->id, LinkDirection::kForward, view)) {
+          for (AtomId child : links.PartnersAt(
+                   atom->id, LinkDirection::kForward, view, &partners)) {
             ASSERT_TRUE(
                 scratch.InsertLink("composition", atom->id, child).ok());
           }
@@ -296,8 +296,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
         auto serial = DeriveMolecules(scratch, *scratch_md,
                                       DerivationOptions(1));
         ASSERT_TRUE(serial.ok());
-        std::string serial_digest =
-            Digest(scratch, *scratch_md, *serial, nullptr);
+        std::string serial_digest = Digest(scratch, *serial, nullptr);
         if (serial_digest != baseline) {
           ADD_FAILURE() << "pinned derivation at epoch " << view.epoch
                         << " differs from materialized serial derivation";
@@ -323,7 +322,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   ASSERT_TRUE(final_md.ok());
   auto final_molecules = DeriveMolecules(db, *final_md, DerivationOptions(1));
   ASSERT_TRUE(final_molecules.ok());
-  std::string final_digest = Digest(db, *final_md, *final_molecules, nullptr);
+  std::string final_digest = Digest(db, *final_molecules, nullptr);
   ASSERT_TRUE(durable_->Flush().ok());
 
   durable_.reset();
@@ -334,7 +333,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   ASSERT_TRUE(md2.ok());
   auto molecules2 = DeriveMolecules(db2, *md2, DerivationOptions(1));
   ASSERT_TRUE(molecules2.ok());
-  EXPECT_EQ(Digest(db2, *md2, *molecules2, nullptr), final_digest);
+  EXPECT_EQ(Digest(db2, *molecules2, nullptr), final_digest);
   EXPECT_TRUE(db2.CheckConsistency().ok());
 }
 

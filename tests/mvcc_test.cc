@@ -94,8 +94,9 @@ TEST_F(MvccTest, PinnedSnapshotIsImmutableUnderConcurrentWrites) {
   EXPECT_EQ(atoms[1]->id, *piston);
   EXPECT_EQ(atoms[1]->values[0].AsString(), "piston");
   EXPECT_TRUE(Compositions().ContainsAt(*engine, *piston, view));
-  std::vector<AtomId> partners =
-      Compositions().PartnersAt(*engine, LinkDirection::kForward, view);
+  std::vector<AtomId> scratch;
+  std::vector<AtomId> partners = Compositions().PartnersAt(
+      *engine, LinkDirection::kForward, view, &scratch);
   ASSERT_EQ(partners.size(), 1u);
   EXPECT_EQ(partners[0], *piston);
   EXPECT_FALSE(Parts().ContainsAt(*valve, view));
@@ -369,9 +370,11 @@ TEST_F(MvccTest, TransactionDeleteCascadesAndRollsBackLinks) {
   std::unique_ptr<Transaction> txn = db_.Begin();
   ASSERT_TRUE(db_.DeleteAtom("part", *engine, txn.get()).ok());
   // Inside the transaction the cascade is visible...
-  EXPECT_TRUE(
-      Compositions().PartnersAt(*engine, LinkDirection::kForward,
-                                txn->view()).empty());
+  std::vector<AtomId> scratch;
+  EXPECT_TRUE(Compositions()
+                  .PartnersAt(*engine, LinkDirection::kForward, txn->view(),
+                              &scratch)
+                  .empty());
   ASSERT_TRUE(txn->Rollback().ok());
   // ...and rollback resurrects both the atom and its links.
   EXPECT_TRUE(Compositions().Contains(*engine, *piston));

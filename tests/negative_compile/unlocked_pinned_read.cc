@@ -8,10 +8,10 @@ int main() {
   mad::ReadView view{0, 0};
 #if defined(MISUSE)
   // error: requires holding mutex 'db.mu_'
-  (void)db.GetAtomAt("part", mad::AtomId{1}, view);
+  (void)db.LookupByAttributeAt("part", "name", mad::Value("x"), view);
 #else
   mad::ReaderLock lock(db.mutex());
-  (void)db.GetAtomAt("part", mad::AtomId{1}, view);
+  (void)db.LookupByAttributeAt("part", "name", mad::Value("x"), view);
 #endif
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "mql/session.h"
@@ -188,15 +187,32 @@ TEST_F(OptimizerTest, IndexSeedRequiresIndexAndRootEquality) {
   EXPECT_FALSE(range->seed.has_value());
 }
 
-std::set<std::string> RootNames(const Database& db, const QueryResult& r) {
-  std::set<std::string> names;
-  const MoleculeType& mt = *r.molecules;
-  const AtomType* at = *db.GetAtomType(mt.description().root_node().type_name);
-  size_t idx = *at->description().IndexOf("name");
-  for (const Molecule& m : mt.molecules()) {
-    names.insert(at->occurrence().Find(m.root())->values[idx].AsString());
+TEST_F(OptimizerTest, SeedsNeedTheRootHeadAtTheView) {
+  // The index and the columns mirror the head, so a view the root store's
+  // head is not visible at gets neither seed — only the pushed filters.
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  auto equality = e::Eq(e::Attr("state", "name"), e::Lit("SP"));
+  auto range = e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{900}));
+  std::unique_ptr<Transaction> txn = db_.Begin();
+  ASSERT_TRUE(db_.InsertAtom("state", {Value("XX"), Value(int64_t{1})},
+                             txn.get())
+                  .ok());
+  ReaderLock lock(db_.mutex());
+  for (const ReadView& view : {txn->view(), ReadView{db_.current_epoch(), 0}}) {
+    auto seeded = PlanPredicatePushdown(db_, *md_, equality, view);
+    ASSERT_TRUE(seeded.ok());
+    EXPECT_FALSE(seeded->seed.has_value());
+    EXPECT_EQ(seeded->node_filters.size(), 1u);
+    auto scanned = PlanPredicatePushdown(db_, *md_, range, view);
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_FALSE(scanned->scan_seed.has_value());
+    EXPECT_EQ(scanned->node_filters.size(), 1u);
   }
-  return names;
+  // The head itself, pending insert included, still seeds.
+  EXPECT_TRUE(PlanPredicatePushdown(db_, *md_, equality)->seed.has_value());
+  EXPECT_TRUE(PlanPredicatePushdown(db_, *md_, range)->scan_seed.has_value());
+  lock.Unlock();
+  ASSERT_TRUE(txn->Rollback().ok());
 }
 
 /// Canonical keys in result order — the bit-for-bit comparison: same

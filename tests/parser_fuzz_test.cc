@@ -246,7 +246,7 @@ TEST(ParserFuzzTest, CompilerSurvivesAndMatchesInterpreterOnFuzzedWhere) {
 
     auto interpreter = MoleculeQualifier::Create(db, *md, select->where);
     auto scalar = expr::CompiledPredicate::Compile(
-        db, *md, select->where, std::nullopt,
+        db, *md, select->where, kHeadView,
         expr::CompiledPredicate::BatchMode::kScalar);
     auto batch = expr::CompiledPredicate::Compile(db, *md, select->where);
     ASSERT_EQ(interpreter.ok(), scalar.ok()) << text;

@@ -14,6 +14,7 @@
 
 #include <arpa/inet.h>
 
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <set>
@@ -619,6 +620,57 @@ TEST_F(ServerTest, AbruptDisconnectChurnWithResponsesInFlight) {
     EXPECT_EQ(reply->type, MessageType::kResult) << reply->text;
     ASSERT_TRUE(fresh.Close().ok());
   }
+}
+
+// EXPLAIN reads the catalog, the indexes and the store heads while it plans,
+// so it must hold the shared lock like SELECT does: another connection's
+// writes grow and shrink the very head EXPLAIN compiles its predicate
+// against (the tsan CI job runs this test under ThreadSanitizer).
+TEST_F(ServerTest, ExplainPlansSafelyBesideAConcurrentWriter) {
+  StartServer();
+  constexpr int kWrites = 60;
+  std::atomic<bool> writer_done{false};
+  std::string writer_failure;
+  std::thread writer([&] {
+    Client client;
+    Status connected = client.Connect("127.0.0.1", server_->port());
+    if (!connected.ok()) writer_failure = connected.ToString();
+    for (int i = 0; i < kWrites && writer_failure.empty(); ++i) {
+      const std::string name = "'churn" + std::to_string(i) + "'";
+      const std::string statements[] = {
+          "INSERT INTO state VALUES (" + name + ", 1);",
+          "UPDATE state SET hectare = hectare + 1 WHERE name = 'SP';",
+          "DELETE FROM state WHERE name = " + name + ";"};
+      for (const std::string& statement : statements) {
+        auto reply = client.Query(statement);
+        if (!reply.ok()) {
+          writer_failure = statement + " -> " + reply.status().ToString();
+        } else if (reply->type != MessageType::kResult) {
+          writer_failure = statement + " -> " + reply->text;
+        }
+        if (!writer_failure.empty()) break;
+      }
+    }
+    (void)client.Close();
+    writer_done.store(true);
+  });
+
+  Client reader;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
+  int explained = 0;
+  while (!writer_done.load() || explained < 10) {
+    auto reply = reader.Query(
+        "EXPLAIN SELECT ALL FROM state-area WHERE state.hectare > 2000000 "
+        "OR state.name = 'x';");
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->type, MessageType::kResult) << reply->text;
+    EXPECT_NE(reply->text.find("-- compiled: "), std::string::npos)
+        << reply->text;
+    ++explained;
+  }
+  writer.join();
+  EXPECT_EQ(writer_failure, "");
+  EXPECT_TRUE(reader.Close().ok());
 }
 
 }  // namespace

@@ -17,6 +17,9 @@ This tool has two subcommands:
   compare --baseline <baseline.json> [--threshold 0.25] <current.json...>
       Diff each (benchmark, op) pair's ns_per_op against the baseline and
       exit 1 when any op regressed by more than the threshold (default 25%).
+      An op with several rows (--benchmark_repetitions=N) is compared by the
+      median of its rows, on both sides; the output says how many
+      repetitions the medians used.
       An op present in the current run but missing from the baseline is an
       ERROR and also exits 1: new benchmarks must land with their baseline
       rows, otherwise the regression gate silently never covers them.
@@ -30,12 +33,15 @@ this script — the numbers are always printed either way).
 
 import argparse
 import json
+import statistics
 import sys
 
 
-def load_results(path):
-    """Returns {(benchmark, op): ns_per_op} from a per-binary result file or
-    a merged baseline (array of per-binary objects)."""
+def load_repetitions(path):
+    """Returns {(benchmark, op): [ns_per_op, ...]} from a per-binary result
+    file or a merged baseline (array of per-binary objects). A run with
+    --benchmark_repetitions=N writes N rows under the same op name; every
+    one is kept, in file order."""
     with open(path) as f:
         data = json.load(f)
     groups = data if isinstance(data, list) else [data]
@@ -43,8 +49,21 @@ def load_results(path):
     for group in groups:
         bench = group["benchmark"]
         for row in group["results"]:
-            out[(bench, row["op"])] = float(row["ns_per_op"])
+            out.setdefault((bench, row["op"]), []).append(
+                float(row["ns_per_op"]))
     return out
+
+
+def medians(repetitions):
+    """{key: [ns_per_op, ...]} -> {key: median ns_per_op}."""
+    return {key: statistics.median(values)
+            for key, values in repetitions.items()}
+
+
+def load_results(path):
+    """Returns {(benchmark, op): ns_per_op}, the median over an op's
+    repeated rows."""
+    return medians(load_repetitions(path))
 
 
 def merge(out_path, in_paths):
@@ -63,10 +82,18 @@ def merge(out_path, in_paths):
 
 
 def compare(baseline_path, current_paths, threshold):
-    baseline = load_results(baseline_path)
-    current = {}
+    baseline_reps = load_repetitions(baseline_path)
+    current_reps = {}
     for path in current_paths:
-        current.update(load_results(path))
+        current_reps.update(load_repetitions(path))
+    baseline = medians(baseline_reps)
+    current = medians(current_reps)
+    counts = sorted({len(v) for v in (*baseline_reps.values(),
+                                      *current_reps.values())})
+    if counts:
+        used = (str(counts[0]) if len(counts) == 1
+                else f"{counts[0]}-{counts[-1]}")
+        print(f"comparing medians over {used} repetition(s) per op")
 
     regressions = []
     unbaselined = []

@@ -2,6 +2,8 @@
 """Unit tests for bench_compare.py, including the acceptance check that a
 synthetic 2x-slower result set fails the comparison."""
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -143,6 +145,52 @@ class BenchCompareTest(unittest.TestCase):
             },
         )
         self.assertEqual(bench_compare.compare(merged, [a, b], 0.25), 0)
+
+    def test_repetitions_compare_by_their_median(self):
+        # A --benchmark_repetitions=2 run writes two rows per op. The median
+        # decides, not the last row: /5000/0 (8.4 and 19.8 ms, median
+        # 14.1 ms) is within 25% of 12 ms even though its last row is not,
+        # and /100/0 (300 and 100 us, median 200 us) regressed past 120 us
+        # even though its last row did not.
+        fixture = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)),
+            os.pardir, "tests", "fixtures", "bench_two_repetitions.json")
+        self.assertEqual(
+            bench_compare.load_repetitions(fixture),
+            {
+                ("bench_perf_molecule_ops", "BM_MoleculeDerivation/5000/0"):
+                    [8400000.0, 19800000.0],
+                ("bench_perf_molecule_ops", "BM_MoleculeDerivation/100/0"):
+                    [300000.0, 100000.0],
+            },
+        )
+        baseline = write_json(
+            self.dir,
+            "repetition_baseline.json",
+            result_file(
+                "bench_perf_molecule_ops",
+                {
+                    "BM_MoleculeDerivation/5000/0": 12000000.0,
+                    "BM_MoleculeDerivation/100/0": 120000.0,
+                },
+            ),
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = bench_compare.compare(baseline, [fixture], 0.25)
+        self.assertEqual(rc, 1)
+        lines = out.getvalue().splitlines()
+        self.assertIn("comparing medians over 1-2 repetition(s) per op", lines)
+        rows = {line.split()[0]: line for line in lines if "BM_" in line}
+        self.assertIn(
+            "+66.7%  REGRESSION",
+            rows["bench_perf_molecule_ops/BM_MoleculeDerivation/100/0"],
+        )
+        self.assertTrue(
+            rows["bench_perf_molecule_ops/BM_MoleculeDerivation/5000/0"]
+            .endswith("+17.5%")
+        )
 
     def test_cli_exit_codes(self):
         slow = write_json(
