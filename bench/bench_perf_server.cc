@@ -19,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_meta.h"
 #include "server/loadgen.h"
 #include "server/server.h"
 #include "storage/database.h"
@@ -90,7 +91,8 @@ int Run(const std::string& json_path) {
       std::cerr << "bench_perf_server: cannot write " << json_path << "\n";
       return 1;
     }
-    out << "{\"benchmark\": \"bench_perf_server\", \"results\": [";
+    out << "{\"benchmark\": \"bench_perf_server\", "
+        << mad::bench::MetaJsonMember() << ", \"results\": [";
     bool first = true;
     for (const MixResult& mix : results) {
       std::string one = mad::server::LoadgenReportToBenchJson(

@@ -4,7 +4,10 @@
 // console output, so CI and scripts can diff benchmark results without
 // scraping stdout. The JSON shape is deliberately small and stable:
 //
-//   {"benchmark": "<binary>", "results": [
+//   {"benchmark": "<binary>",
+//    "meta": {"cpu_model": "<model>", "nproc": <int>, "build_type": "<type>",
+//             "compiler": "<compiler>", "git_sha": "<sha>"},
+//    "results": [
 //     {"op": "<name>", "ns_per_op": <double>,
 //      "iterations": <int>, "parallelism": <int>}, ...]}
 #include <benchmark/benchmark.h>
@@ -16,7 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_meta.h"
+
 namespace {
+
+using mad::bench::JsonEscape;
 
 struct JsonRow {
   std::string op;
@@ -51,41 +58,12 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   std::vector<JsonRow> rows_;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 bool WriteJson(const std::string& path, const std::string& binary,
                const std::vector<JsonRow>& rows) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << "{\"benchmark\": \"" << JsonEscape(binary) << "\", \"results\": [";
+  out << "{\"benchmark\": \"" << JsonEscape(binary) << "\", "
+      << mad::bench::MetaJsonMember() << ", \"results\": [";
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) out << ",";
     out << "\n  {\"op\": \"" << JsonEscape(rows[i].op)

@@ -15,7 +15,8 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
   cp.db_ = &db;
   cp.md_ = &md;
   cp.view_ = view;
-  MAD_ASSIGN_OR_RETURN(cp.resolved_, ResolveQualification(db, md, predicate));
+  MAD_ASSIGN_OR_RETURN(ExprPtr resolved,
+                       ResolveQualification(db, md, predicate));
   cp.stores_.reserve(md.nodes().size());
   cp.schemas_.reserve(md.nodes().size());
   for (const MoleculeNode& node : md.nodes()) {
@@ -23,7 +24,7 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     cp.stores_.push_back(&at->occurrence());
     cp.schemas_.push_back(&at->description());
   }
-  MAD_ASSIGN_OR_RETURN(cp.root_, cp.BuildBool(*cp.resolved_));
+  MAD_ASSIGN_OR_RETURN(cp.root_, cp.BuildBool(*resolved));
   if (mode == BatchMode::kAuto) cp.PlanBatch();
   return cp;
 }

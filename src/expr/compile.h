@@ -97,11 +97,6 @@ class CompiledPredicate {
   /// `scratch`.
   Result<bool> EvalMolecule(const Molecule& molecule, Scratch& scratch) const;
 
-  /// The predicate with every attribute reference rewritten to
-  /// label-qualified form (shared vocabulary with EXPLAIN and the
-  /// interpreter oracle).
-  const ExprPtr& resolved_predicate() const { return resolved_; }
-
   /// Description node indices the binding loops iterate (sorted, unique).
   const std::vector<size_t>& loop_nodes() const { return loop_node_set_; }
 
@@ -236,7 +231,6 @@ class CompiledPredicate {
 
   const Database* db_ = nullptr;
   const MoleculeDescription* md_ = nullptr;
-  ExprPtr resolved_;
   std::vector<Instruction> code_;
   std::vector<Value> literals_;
   std::vector<Leaf> leaves_;

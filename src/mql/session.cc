@@ -25,95 +25,58 @@ namespace {
 /// names never collide across concurrently-live sessions.
 std::atomic<uint64_t> g_next_session_id{1};
 
-/// Evaluates a WHERE predicate over one recursive molecule. Permitted
-/// qualifiers: "root" (binds the root atom only), the recursion's atom
-/// type (existential over the closure members), or none (unqualified
-/// attributes of the atom type).
-class RecursiveQualifier {
- public:
-  RecursiveQualifier(const Database& db, const RecursiveDescription& rd,
-                     const expr::ExprPtr& predicate, ReadView view)
-      : db_(db), rd_(rd), predicate_(predicate), view_(view) {}
-
-  Result<bool> Matches(const RecursiveMolecule& m) const {
-    return EvalBoolean(*predicate_, m);
-  }
-
- private:
-  Result<bool> EvalBoolean(const expr::Expr& e,
-                           const RecursiveMolecule& m) const {
-    using K = expr::Expr::Kind;
-    switch (e.kind()) {
-      case K::kAnd: {
-        MAD_ASSIGN_OR_RETURN(bool lhs, EvalBoolean(*e.left(), m));
-        if (!lhs) return false;
-        return EvalBoolean(*e.right(), m);
-      }
-      case K::kOr: {
-        MAD_ASSIGN_OR_RETURN(bool lhs, EvalBoolean(*e.left(), m));
-        if (lhs) return true;
-        return EvalBoolean(*e.right(), m);
-      }
-      case K::kNot: {
-        MAD_ASSIGN_OR_RETURN(bool operand, EvalBoolean(*e.left(), m));
-        return !operand;
-      }
-      default:
-        return EvalExistential(e, m);
-    }
-  }
-
-  Result<bool> EvalExistential(const expr::Expr& e,
-                               const RecursiveMolecule& m) const {
-    std::vector<const expr::Expr*> refs;
-    e.CollectAttrRefs(&refs);
-    bool needs_root = false;
-    bool needs_member = false;
-    for (const expr::Expr* ref : refs) {
-      if (ref->qualifier() == "root") {
-        needs_root = true;
-      } else if (ref->qualifier().empty() ||
-                 ref->qualifier() == rd_.atom_type) {
-        needs_member = true;
-      } else {
+/// Rewrites a recursive WHERE into the scope sema checks it in
+/// (ScopeKind::kRecursive): `root.` binds the closure's root, unqualified
+/// references and `<member>.` bind the closure's members. What that scope
+/// cannot express — another qualifier, an unknown attribute, COUNT, FORALL
+/// — fails here, in evaluation order, with the Status the per-closure
+/// interpreter raised on reaching it.
+Result<expr::ExprPtr> PinRecursiveWhere(const expr::ExprPtr& e,
+                                        const std::string& member,
+                                        const Schema& schema) {
+  using expr::Expr;
+  using K = Expr::Kind;
+  switch (e->kind()) {
+    case K::kLiteral:
+      return e;
+    case K::kAttrRef: {
+      const std::string& q = e->qualifier();
+      if (!q.empty() && q != "root" && q != member) {
         return Status::InvalidArgument(
-            "recursive queries allow the qualifiers 'root' and '" +
-            rd_.atom_type + "'; found '" + ref->qualifier() + "'");
+            "recursive queries allow the qualifiers 'root' and '" + member +
+            "'; found '" + q + "'");
       }
-    }
-
-    MAD_ASSIGN_OR_RETURN(const AtomType* at, db_.GetAtomType(rd_.atom_type));
-    const Schema& schema = at->description();
-    const Atom* root_atom = at->occurrence().FindVersionAt(m.root(), view_);
-    if (root_atom == nullptr) {
-      return Status::Internal("recursive molecule root missing from store");
-    }
-
-    expr::BindingSet bindings;
-    if (needs_root) bindings.Bind("root", &schema, root_atom);
-    if (!needs_member) {
-      return expr::EvalPredicate(e, bindings);
-    }
-    // Existential over every closure member (the root included).
-    for (const auto& level : m.levels()) {
-      for (AtomId id : level) {
-        const Atom* atom = at->occurrence().FindVersionAt(id, view_);
-        if (atom == nullptr) {
-          return Status::Internal("recursive molecule atom missing from store");
-        }
-        bindings.Bind(rd_.atom_type, &schema, atom);
-        MAD_ASSIGN_OR_RETURN(bool hit, expr::EvalPredicate(e, bindings));
-        if (hit) return true;
+      if (!schema.HasAttribute(e->attribute())) {
+        return Status::NotFound("unknown attribute '" + e->attribute() + "'");
       }
+      return q.empty() ? Expr::MakeAttrRef(member, e->attribute()) : e;
     }
-    return false;
+    case K::kCount:
+      return Status::InvalidArgument(
+          "COUNT(" + e->qualifier() +
+          ") is only valid in molecule-scope qualification");
+    case K::kForAll:
+      return Status::InvalidArgument(
+          "FORALL is only valid in molecule-scope qualification");
+    default:
+      break;
   }
-
-  const Database& db_;
-  const RecursiveDescription& rd_;
-  const expr::ExprPtr& predicate_;
-  ReadView view_;
-};
+  MAD_ASSIGN_OR_RETURN(expr::ExprPtr lhs,
+                       PinRecursiveWhere(e->left(), member, schema));
+  if (e->kind() == K::kNot) return Expr::MakeNot(std::move(lhs));
+  MAD_ASSIGN_OR_RETURN(expr::ExprPtr rhs,
+                       PinRecursiveWhere(e->right(), member, schema));
+  switch (e->kind()) {
+    case K::kCompare:
+      return Expr::MakeCompare(e->compare_op(), std::move(lhs), std::move(rhs));
+    case K::kArith:
+      return Expr::MakeArith(e->arith_op(), std::move(lhs), std::move(rhs));
+    case K::kAnd:
+      return Expr::MakeAnd(std::move(lhs), std::move(rhs));
+    default:
+      return Expr::MakeOr(std::move(lhs), std::move(rhs));
+  }
+}
 
 }  // namespace
 
@@ -232,7 +195,7 @@ Result<QueryResult> Session::RunStatement(Statement statement) {
       [this](auto&& stmt) -> Result<QueryResult> {
         using T = std::decay_t<decltype(stmt)>;
         if constexpr (std::is_same_v<T, SelectStatement>) {
-          return RunSelect(std::move(stmt));
+          return RunSelect(stmt);
         } else if constexpr (std::is_same_v<T, CreateAtomTypeStatement>) {
           return RunCreateAtomType(std::move(stmt));
         } else if constexpr (std::is_same_v<T, CreateLinkTypeStatement>) {
@@ -244,7 +207,7 @@ Result<QueryResult> Session::RunStatement(Statement statement) {
         } else if constexpr (std::is_same_v<T, UpdateStatement>) {
           return RunUpdate(std::move(stmt));
         } else if constexpr (std::is_same_v<T, ExplainStatement>) {
-          return RunExplain(std::move(stmt));
+          return RunSelect(stmt.select, &stmt);
         } else if constexpr (std::is_same_v<T, ShowMetricsStatement>) {
           return RunShowMetrics(std::move(stmt));
         } else if constexpr (std::is_same_v<T, SetOptionStatement>) {
@@ -279,80 +242,292 @@ Status Session::RegisterMoleculeType(const std::string& name,
   return Status::OK();
 }
 
-Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
-  ScopedSpan select_span("select",
-                         stmt.from.molecule_name.empty()
-                             ? std::string()
-                             : stmt.from.molecule_name);
-  // The whole statement reads at one pinned epoch under a shared lock:
-  // concurrent sessions' commits queue behind it, so the engines' borrowed
-  // store pointers stay valid for the statement, and the pin keeps GC away
-  // from the snapshot's versions. With a transaction open the view is the
-  // transaction's (snapshot + its own uncommitted writes).
-  ReaderLock read_lock(db_->mutex());
-  // The per-statement pin protects the no-transaction, no-session-pin case;
-  // CurrentView() then reads at exactly this pinned epoch.
-  EpochPin pin = db_->PinEpoch();
-  const ReadView view = CurrentView();
-  // Resolve the FROM clause into a molecule or recursive description.
+/// A SELECT translated into the algebra once — a (definition) ∘ Σ (WHERE) ∘
+/// Π (SELECT), or the recursive closure with its own Σ — with every Σ
+/// compiled at the view it was planned at. RunSelect executes it, EXPLAIN
+/// prints it, EXPLAIN ANALYZE prints and executes the same plan. The
+/// programs borrow the plan's descriptions, so a plan is built in place and
+/// never copied or moved.
+struct Session::SelectPlan {
+  SelectPlan() = default;
+  SelectPlan(const SelectPlan&) = delete;
+  SelectPlan& operator=(const SelectPlan&) = delete;
+
+  std::string name;
+  /// Exactly one of `md` (a molecule query) and `rd` (a recursive one).
   std::optional<MoleculeDescription> md;
   std::optional<RecursiveDescription> rd;
   std::optional<MoleculeDescription> expansion;
-  std::string name = stmt.from.molecule_name.empty() ? "query"
-                                                     : stmt.from.molecule_name;
+  /// Root pushdown on and a WHERE present: the molecule Σ runs inside the
+  /// derivation; otherwise it runs as a restriction of the derived set.
+  bool pushed = false;
+  PushdownPlan pushdown;
+  /// node_programs[i] is pushdown.node_filters[i]'s program.
+  std::vector<expr::CompiledPredicate> node_programs;
+  std::optional<expr::CompiledPredicate> residual;
+  /// The recursive WHERE, compiled over {root, <atom type>}: node 0 binds
+  /// a closure's root, node 1 its members.
+  std::optional<MoleculeDescription> recursive_scope;
+  std::optional<expr::CompiledPredicate> recursive_where;
+  std::optional<MoleculeProjectionSpec> projection;
 
+  /// The EXPLAIN text: the translation and how its Σ will run.
+  std::string Explain(const SelectStatement& stmt) const {
+    std::string text = "-- molecule algebra translation --\n";
+    if (rd.has_value()) {
+      text += "closure[" + rd->atom_type + ", " + rd->link_type + ", " +
+              (rd->direction == LinkDirection::kForward ? "forward"
+                                                        : "backward");
+      text += rd->max_depth < 0 ? ", unbounded]"
+                                : ", depth<=" + std::to_string(rd->max_depth) +
+                                      "]";
+      text += "   -- recursive molecule type [Schö89]\n";
+      if (expansion.has_value()) {
+        text += "expand-each[" + expansion->ToString() +
+                "]   -- per-member component molecule\n";
+      }
+    } else {
+      text += "a[" + name + ", {";
+      for (size_t j = 0; j < md->links().size(); ++j) {
+        if (j > 0) text += ", ";
+        const DirectedLink& dl = md->links()[j];
+        text += "<" + dl.link_type + ": " + dl.from +
+                (dl.reverse ? " <~ " : " -> ") + dl.to + ">";
+      }
+      text += "}]({";
+      for (size_t i = 0; i < md->nodes().size(); ++i) {
+        if (i > 0) text += ", ";
+        text += md->nodes()[i].label;
+      }
+      text += "})   -- molecule-type definition (Def. 8)\n";
+    }
+
+    if (stmt.where != nullptr) {
+      text += "Sigma[" + stmt.where->ToString() +
+              "]   -- molecule-type restriction (Def. 10)\n";
+    }
+    if (pushed) {
+      // How the Σ will actually run: per-node compiled filters inside the
+      // derivation, a seeded root set, and the compiled residual.
+      for (size_t i = 0; i < pushdown.node_filters.size(); ++i) {
+        const NodeFilter& filter = pushdown.node_filters[i];
+        text += "  push-down[" + md->nodes()[filter.node_index].label +
+                "]: " + filter.predicate->ToString() +
+                "   -- compiled: " + node_programs[i].Summary() + "\n";
+      }
+      if (pushdown.seed.has_value()) {
+        text += "  seed-index[" + md->root_node().type_name + "." +
+                pushdown.seed->attribute + " = " +
+                pushdown.seed->value.ToString() +
+                "]   -- root fan-out from AttributeIndex\n";
+      } else if (pushdown.scan_seed.has_value()) {
+        text += "  seed-scan[" + md->root_node().type_name + ": " +
+                pushdown.scan_seed->display +
+                "]   -- root fan-out from columnar kernel scan\n";
+      }
+      if (residual.has_value()) {
+        text += "  residual: " + pushdown.residual->ToString() +
+                "   -- compiled: " + residual->Summary() + "\n";
+      }
+    }
+    if (projection.has_value()) {
+      text += "Pi[{";
+      for (size_t i = 0; i < projection->keep_labels.size(); ++i) {
+        if (i > 0) text += ", ";
+        text += projection->keep_labels[i];
+        auto it = projection->attributes.find(projection->keep_labels[i]);
+        if (it != projection->attributes.end()) {
+          text += "(";
+          for (size_t j = 0; j < it->second.size(); ++j) {
+            if (j > 0) text += ",";
+            text += it->second[j];
+          }
+          text += ")";
+        }
+      }
+      text += "}]   -- molecule-type projection\n";
+    }
+    return text;
+  }
+};
+
+Status Session::PlanSelect(const SelectStatement& stmt, ReadView view,
+                           SelectPlan* plan) const {
+  // Resolve the FROM clause into a molecule or recursive description.
   const StructureNode& root = *stmt.from.structure;
+  plan->name = stmt.from.molecule_name.empty() ? "query"
+                                               : stmt.from.molecule_name;
   bool bare_identifier =
       stmt.from.molecule_name.empty() && root.branches.empty();
   auto registered = bare_identifier ? registry_.find(root.atom)
                                     : registry_.end();
   if (registered != registry_.end()) {
-    md = registered->second;
-    name = registered->first;
+    plan->md = registered->second;
+    plan->name = registered->first;
   } else {
     MAD_ASSIGN_OR_RETURN(TranslatedFrom translated,
                          TranslateStructure(*db_, root));
-    md = std::move(translated.description);
-    rd = std::move(translated.recursive);
-    expansion = std::move(translated.recursive_expansion);
-    if (!stmt.from.molecule_name.empty() && md.has_value()) {
-      MAD_RETURN_IF_ERROR(RegisterMoleculeType(stmt.from.molecule_name, *md));
-    }
+    plan->md = std::move(translated.description);
+    plan->rd = std::move(translated.recursive);
+    plan->expansion = std::move(translated.recursive_expansion);
   }
 
-  QueryResult result;
-  result.epoch = view.epoch;
-  if (rd.has_value()) {
+  if (plan->rd.has_value()) {
     // Recursive query: SELECT ALL only (the closure is the result).
     if (!stmt.select_all) {
       return Status::Unsupported(
           "recursive queries support SELECT ALL projections only");
     }
+    if (stmt.where == nullptr) return Status::OK();
+    const RecursiveDescription& rd = *plan->rd;
+    MAD_ASSIGN_OR_RETURN(const AtomType* at, db_->GetAtomType(rd.atom_type));
+    MAD_ASSIGN_OR_RETURN(
+        expr::ExprPtr pinned,
+        PinRecursiveWhere(stmt.where, rd.atom_type, at->description()));
+    MAD_ASSIGN_OR_RETURN(
+        plan->recursive_scope,
+        MoleculeDescription::Create(
+            *db_,
+            {{rd.atom_type, "root", std::nullopt},
+             {rd.atom_type, rd.atom_type, std::nullopt}},
+            {{rd.link_type, "root", rd.atom_type,
+              rd.direction == LinkDirection::kBackward}}));
+    MAD_ASSIGN_OR_RETURN(plan->recursive_where,
+                         expr::CompiledPredicate::Compile(
+                             *db_, *plan->recursive_scope, pinned, view));
+    return Status::OK();
+  }
+
+  // Ch. 4 translation: a (definition) ∘ Σ (WHERE) ∘ Π (SELECT). With
+  // pushdown enabled the Σ is fused into the derivation: the WHERE's
+  // leading single-node conjuncts are split per description node, each
+  // group compiled into a flat predicate program the engine evaluates the
+  // moment that node's group completes, the rest compiled into a residual
+  // program evaluated per root before materialization, and a leading
+  // indexed root equality seeds the root set from its AttributeIndex
+  // bucket. Root seeds come only when the root store's head is the view.
+  const MoleculeDescription& md = *plan->md;
+  plan->pushed = options_.enable_root_pushdown && stmt.where != nullptr;
+  if (plan->pushed) {
+    MAD_ASSIGN_OR_RETURN(plan->pushdown,
+                         PlanPredicatePushdown(*db_, md, stmt.where, view));
+    // An index-seeded statement derives only the seeded molecules, so its
+    // programs run scalar: a batch leaf would sweep its whole column on
+    // first use.
+    const expr::CompiledPredicate::BatchMode mode =
+        plan->pushdown.seed.has_value()
+            ? expr::CompiledPredicate::BatchMode::kScalar
+            : expr::CompiledPredicate::BatchMode::kAuto;
+    plan->node_programs.reserve(plan->pushdown.node_filters.size());
+    for (const NodeFilter& filter : plan->pushdown.node_filters) {
+      MAD_ASSIGN_OR_RETURN(expr::CompiledPredicate program,
+                           expr::CompiledPredicate::Compile(
+                               *db_, md, filter.predicate, view, mode));
+      plan->node_programs.push_back(std::move(program));
+    }
+    if (plan->pushdown.residual != nullptr) {
+      MAD_ASSIGN_OR_RETURN(
+          plan->residual,
+          expr::CompiledPredicate::Compile(*db_, md, plan->pushdown.residual,
+                                           view, mode));
+    }
+  }
+  if (!stmt.select_all) {
+    MAD_ASSIGN_OR_RETURN(plan->projection,
+                         TranslateProjection(md, stmt.items));
+  }
+  return Status::OK();
+}
+
+Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
+                                       const ExplainStatement* explain) {
+  // The whole statement reads at one pinned epoch under a shared lock:
+  // concurrent sessions' commits queue behind it, so the plan's and the
+  // engines' borrowed store pointers stay valid for the statement, and the
+  // pin keeps GC away from the snapshot's versions. With a transaction open
+  // the view is the transaction's (snapshot + its own uncommitted writes).
+  // EXPLAIN plans the same way, so it prints the plan SELECT would run.
+  ReaderLock read_lock(db_->mutex());
+  // The per-statement pin protects the no-transaction, no-session-pin case;
+  // CurrentView() then reads at exactly this pinned epoch.
+  EpochPin pin = db_->PinEpoch();
+  const ReadView view = CurrentView();
+  SelectPlan plan;
+  MAD_RETURN_IF_ERROR(PlanSelect(stmt, view, &plan));
+  if (explain == nullptr) return ExecuteSelect(stmt, plan, view);
+  QueryResult result;
+  std::string profile;
+  if (explain->analyze) {
+    // EXPLAIN ANALYZE: execute the plan under a fresh trace and append the
+    // recorded operator span tree to the plan it ran.
+    auto trace = std::make_shared<QueryTrace>();
+    {
+      TraceScope scope(trace.get());
+      MAD_ASSIGN_OR_RETURN(result, ExecuteSelect(stmt, plan, view));
+    }
+    result.kind = QueryResult::Kind::kCommand;
+    profile = "-- execution profile --\n" + text::FormatQueryTrace(*trace);
+    result.trace = std::move(trace);
+  }
+  result.message = plan.Explain(stmt) + profile;
+  return result;
+}
+
+Result<QueryResult> Session::ExecuteSelect(const SelectStatement& stmt,
+                                           const SelectPlan& plan,
+                                           ReadView view) {
+  ScopedSpan select_span("select", stmt.from.molecule_name);
+  if (!stmt.from.molecule_name.empty() && plan.md.has_value()) {
+    registry_.insert_or_assign(stmt.from.molecule_name, *plan.md);
+  }
+  QueryResult result;
+  result.epoch = view.epoch;
+  if (plan.rd.has_value()) {
+    const RecursiveDescription& rd = *plan.rd;
     MAD_ASSIGN_OR_RETURN(std::vector<RecursiveMolecule> molecules,
-                         DeriveRecursiveMolecules(*db_, *rd, view));
+                         DeriveRecursiveMolecules(*db_, rd, view));
     result.kind = QueryResult::Kind::kRecursive;
-    result.recursive_description = *rd;
-    if (stmt.where != nullptr) {
+    result.recursive_description = rd;
+    if (plan.recursive_where.has_value()) {
       ScopedSpan filter_span("sigma", stmt.where->ToString());
       filter_span.set_rows_in(static_cast<int64_t>(molecules.size()));
-      RecursiveQualifier qualifier(*db_, *rd, stmt.where, view);
+      // Each closure binds its root as node 0 and, only when the program
+      // loops over them, its members in level order as node 1.
+      const expr::CompiledPredicate& where = *plan.recursive_where;
+      const bool members_looped =
+          !where.loop_nodes().empty() && where.loop_nodes().back() == 1;
+      MAD_ASSIGN_OR_RETURN(const AtomType* at, db_->GetAtomType(rd.atom_type));
+      const AtomStore& store = at->occurrence();
+      expr::CompiledPredicate::Scratch scratch;
+      std::vector<const Atom*> members;
       for (RecursiveMolecule& m : molecules) {
-        MAD_ASSIGN_OR_RETURN(bool hit, qualifier.Matches(m));
+        const Atom* root_atom = store.FindVersionAt(m.root(), view);
+        expr::CompiledPredicate::AtomSpan spans[2] = {{&root_atom, 1}, {}};
+        if (members_looped) {
+          members.clear();
+          for (const auto& level : m.levels()) {
+            for (AtomId id : level) {
+              members.push_back(store.FindVersionAt(id, view));
+            }
+          }
+          spans[1] = {members.data(), members.size()};
+        }
+        MAD_ASSIGN_OR_RETURN(bool hit, where.Eval(spans, scratch));
         if (hit) result.recursive.push_back(std::move(m));
       }
       filter_span.set_rows_out(static_cast<int64_t>(result.recursive.size()));
     } else {
       result.recursive = std::move(molecules);
     }
-    if (expansion.has_value()) {
+    if (plan.expansion.has_value()) {
       // Expansion tail: one component molecule per closure member, derived
-      // only for the closures that survived the WHERE filter. One engine
-      // serves every closure — the adjacency snapshot is built once, not
-      // once per recursive molecule.
+      // only for the closures that survived the WHERE filter, by one engine
+      // for every closure.
       DerivationOptions dopts;
       dopts.view = view;
-      MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
-                           DerivationEngine::Create(*db_, *expansion, dopts));
+      MAD_ASSIGN_OR_RETURN(
+          DerivationEngine engine,
+          DerivationEngine::Create(*db_, *plan.expansion, dopts));
       DerivationStats totals;
       for (const RecursiveMolecule& m : result.recursive) {
         ScopedSpan expand_span(
@@ -373,74 +548,41 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
         totals.wall_ms += stats.wall_ms;
         result.recursive_components.push_back(std::move(components));
       }
-      result.expansion_description = std::move(expansion);
+      result.expansion_description = plan.expansion;
       result.derivation = totals;
     }
     select_span.set_rows_out(static_cast<int64_t>(result.recursive.size()));
     return result;
   }
 
-  // Ch. 4 translation: a (definition) ∘ Σ (WHERE) ∘ Π (SELECT). With
-  // pushdown enabled the Σ is fused into the derivation: the WHERE's
-  // leading single-node conjuncts are split per description node, each
-  // group compiled into a flat predicate program the engine evaluates the
-  // moment that node's group completes, the rest compiled into a residual
-  // program evaluated per root before materialization, and a leading
-  // indexed root equality seeds the root set from its AttributeIndex
-  // bucket.
-  expr::ExprPtr residual_where = stmt.where;
+  const MoleculeDescription& md = *plan.md;
   DerivationOptions dopts;
   dopts.view = view;
   DerivationStats dstats;
   std::optional<MoleculeType> derived;
-  if (options_.enable_root_pushdown && stmt.where != nullptr) {
-    // Root seeds come only when the root store's head is the view.
-    MAD_ASSIGN_OR_RETURN(PushdownPlan plan,
-                         PlanPredicatePushdown(*db_, *md, stmt.where, view));
+  if (plan.pushed) {
+    // The engine borrows the plan's programs for the derive call below.
+    for (size_t i = 0; i < plan.node_programs.size(); ++i) {
+      dopts.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
+                                      &plan.node_programs[i]);
+    }
+    if (plan.residual.has_value()) dopts.residual = &*plan.residual;
     MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                         db_->GetAtomType(md->root_node().type_name));
-    // The programs live on this frame; the engine borrows them only for
-    // the derive call below. An index-seeded statement derives only the
-    // seeded molecules, so its programs run scalar: a batch leaf would
-    // sweep its whole column on first use.
-    const expr::CompiledPredicate::BatchMode mode =
-        plan.seed.has_value() ? expr::CompiledPredicate::BatchMode::kScalar
-                              : expr::CompiledPredicate::BatchMode::kAuto;
-    std::vector<expr::CompiledPredicate> programs;
-    programs.reserve(plan.node_filters.size() + 1);
-    for (const NodeFilter& filter : plan.node_filters) {
-      MAD_ASSIGN_OR_RETURN(expr::CompiledPredicate program,
-                           expr::CompiledPredicate::Compile(
-                               *db_, *md, filter.predicate, view, mode));
-      programs.push_back(std::move(program));
-    }
-    for (size_t i = 0; i < plan.node_filters.size(); ++i) {
-      dopts.node_filters.emplace_back(plan.node_filters[i].node_index,
-                                      &programs[i]);
-    }
-    if (plan.residual != nullptr) {
-      MAD_ASSIGN_OR_RETURN(expr::CompiledPredicate residual_program,
-                           expr::CompiledPredicate::Compile(
-                               *db_, *md, plan.residual, view, mode));
-      programs.push_back(std::move(residual_program));
-      dopts.residual = &programs.back();
-    }
-    residual_where = nullptr;  // the engine consumes the whole WHERE
+                         db_->GetAtomType(md.root_node().type_name));
 
     // Root seeding: take the index bucket instead of scanning the whole
     // occurrence. Bucket order is index insertion order, which diverges
     // from occurrence order after updates, so restore occurrence order —
     // seeded derivation stays bit-identical to the unseeded scan.
     std::optional<std::vector<AtomId>> seeded;
-    if (plan.seed.has_value()) {
-      ScopedSpan seed_span("index-seed",
-                           md->root_node().type_name + "." +
-                               plan.seed->attribute + " = " +
-                               plan.seed->value.ToString());
+    if (plan.pushdown.seed.has_value()) {
+      const IndexSeed& seed = *plan.pushdown.seed;
+      ScopedSpan seed_span("index-seed", md.root_node().type_name + "." +
+                                             seed.attribute + " = " +
+                                             seed.value.ToString());
       seed_span.set_rows_in(
           static_cast<int64_t>(root_at->occurrence().size()));
-      const std::vector<AtomId>& bucket =
-          plan.seed->index->Lookup(plan.seed->value);
+      const std::vector<AtomId>& bucket = seed.index->Lookup(seed.value);
       std::vector<std::pair<size_t, AtomId>> ordered;
       ordered.reserve(bucket.size());
       for (AtomId id : bucket) {
@@ -462,18 +604,17 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
     // ordinary evaluation); the planner already checked that the head is
     // the view. Row order is occurrence order by construction, so seeded
     // derivation stays bit-identical to the unseeded scan.
-    if (!seeded.has_value() && plan.scan_seed.has_value()) {
-      const AtomStore& store = root_at->occurrence();
-      const ColumnSet& columns = store.columns();
-      const Column* column = columns.column(plan.scan_seed->value_slot);
+    if (!seeded.has_value() && plan.pushdown.scan_seed.has_value()) {
+      const ScanSeed& scan = *plan.pushdown.scan_seed;
+      const ColumnSet& columns = root_at->occurrence().columns();
+      const Column* column = columns.column(scan.value_slot);
       expr::RowBitmaps bits;
       if (column != nullptr &&
-          expr::BuildCompareBitmaps(*column, columns.rows(),
-                                    plan.scan_seed->op, plan.scan_seed->value,
-                                    plan.scan_seed->attr_on_left, &bits) &&
+          expr::BuildCompareBitmaps(*column, columns.rows(), scan.op,
+                                    scan.value, scan.attr_on_left, &bits) &&
           !bits.any_err) {
-        ScopedSpan scan_span("seed-scan", md->root_node().type_name + ": " +
-                                              plan.scan_seed->display);
+        ScopedSpan scan_span("seed-scan",
+                             md.root_node().type_name + ": " + scan.display);
         scan_span.set_rows_in(static_cast<int64_t>(columns.rows()));
         seeded.emplace();
         for (size_t r = 0; r < columns.rows(); ++r) {
@@ -491,31 +632,30 @@ Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
       if (seeded.has_value()) {
         MAD_ASSIGN_OR_RETURN(
             molecules,
-            DeriveMoleculesForRoots(*db_, *md, *seeded, dopts, &dstats));
+            DeriveMoleculesForRoots(*db_, md, *seeded, dopts, &dstats));
       } else {
         MAD_ASSIGN_OR_RETURN(molecules,
-                             DeriveMolecules(*db_, *md, dopts, &dstats));
+                             DeriveMolecules(*db_, md, dopts, &dstats));
       }
       sigma_span.set_rows_in(static_cast<int64_t>(dstats.roots));
       sigma_span.set_rows_out(static_cast<int64_t>(molecules.size()));
-      derived.emplace(name, *md, std::move(molecules));
+      derived.emplace(plan.name, md, std::move(molecules));
     }
-  }
-  if (!derived.has_value()) {
+  } else {
     MAD_ASSIGN_OR_RETURN(MoleculeType full,
-                         DefineMoleculeType(*db_, name, *md, dopts, &dstats));
+                         DefineMoleculeType(*db_, plan.name, md, dopts,
+                                            &dstats));
     derived.emplace(std::move(full));
   }
   result.derivation = dstats;
   MoleculeType mt = *std::move(derived);
-  if (residual_where != nullptr) {
+  if (!plan.pushed && stmt.where != nullptr) {
     MAD_ASSIGN_OR_RETURN(
-        mt, RestrictMolecules(*db_, mt, residual_where, name, view));
+        mt, RestrictMolecules(*db_, mt, stmt.where, plan.name, view));
   }
-  if (!stmt.select_all) {
-    MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
-                         TranslateProjection(mt.description(), stmt.items));
-    MAD_ASSIGN_OR_RETURN(mt, ProjectMolecules(*db_, mt, spec, name));
+  if (plan.projection.has_value()) {
+    MAD_ASSIGN_OR_RETURN(
+        mt, ProjectMolecules(*db_, mt, *plan.projection, plan.name));
   }
   result.kind = QueryResult::Kind::kMolecules;
   result.molecules = std::make_shared<MoleculeType>(std::move(mt));
@@ -675,158 +815,6 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
   }
   result.message = std::to_string(result.affected) + " atom(s) updated in '" +
                    stmt.atom_type + "'";
-  return result;
-}
-
-Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
-  const SelectStatement& select = stmt.select;
-  const StructureNode& root = *select.from.structure;
-  // Plan as RunSelect would: under the shared lock (the catalog, indexes
-  // and store heads are read) and at this session's view. Compiling reads
-  // no atom, so no epoch pin is needed.
-  ReaderLock read_lock(db_->mutex());
-  const ReadView view = CurrentView();
-
-  std::string plan = "-- molecule algebra translation --\n";
-
-  std::optional<MoleculeDescription> md;
-  std::optional<RecursiveDescription> rd;
-  std::optional<MoleculeDescription> expansion;
-  std::string name = select.from.molecule_name.empty()
-                         ? "query"
-                         : select.from.molecule_name;
-  bool bare_identifier =
-      select.from.molecule_name.empty() && root.branches.empty();
-  auto registered =
-      bare_identifier ? registry_.find(root.atom) : registry_.end();
-  if (registered != registry_.end()) {
-    md = registered->second;
-    name = registered->first;
-  } else {
-    MAD_ASSIGN_OR_RETURN(TranslatedFrom translated,
-                         TranslateStructure(*db_, root));
-    md = std::move(translated.description);
-    rd = std::move(translated.recursive);
-    expansion = std::move(translated.recursive_expansion);
-  }
-
-  if (rd.has_value()) {
-    plan += "closure[" + rd->atom_type + ", " + rd->link_type + ", " +
-            (rd->direction == LinkDirection::kForward ? "forward" : "backward");
-    plan += rd->max_depth < 0 ? ", unbounded]"
-                              : ", depth<=" + std::to_string(rd->max_depth) +
-                                    "]";
-    plan += "   -- recursive molecule type [Schö89]\n";
-    if (expansion.has_value()) {
-      plan += "expand-each[" + expansion->ToString() +
-              "]   -- per-member component molecule\n";
-    }
-  } else {
-    plan += "a[" + name + ", {";
-    for (size_t j = 0; j < md->links().size(); ++j) {
-      if (j > 0) plan += ", ";
-      const DirectedLink& dl = md->links()[j];
-      plan += "<" + dl.link_type + ": " + dl.from +
-              (dl.reverse ? " <~ " : " -> ") + dl.to + ">";
-    }
-    plan += "}]({";
-    for (size_t i = 0; i < md->nodes().size(); ++i) {
-      if (i > 0) plan += ", ";
-      plan += md->nodes()[i].label;
-    }
-    plan += "})   -- molecule-type definition (Def. 8)\n";
-  }
-
-  if (select.where != nullptr) {
-    plan += "Sigma[" + select.where->ToString() +
-            "]   -- molecule-type restriction (Def. 10)\n";
-    if (options_.enable_root_pushdown && md.has_value() && !rd.has_value()) {
-      // How the Σ will actually run: per-node compiled filters inside the
-      // derivation, an index-seeded root set, and the compiled residual.
-      Result<PushdownPlan> pushed =
-          PlanPredicatePushdown(*db_, *md, select.where, view);
-      if (pushed.ok()) {
-        // Same execution mode as RunSelect: index-seeded plans run scalar.
-        const expr::CompiledPredicate::BatchMode mode =
-            pushed->seed.has_value()
-                ? expr::CompiledPredicate::BatchMode::kScalar
-                : expr::CompiledPredicate::BatchMode::kAuto;
-        for (const NodeFilter& filter : pushed->node_filters) {
-          plan += "  push-down[" + md->nodes()[filter.node_index].label +
-                  "]: " + filter.predicate->ToString();
-          Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, filter.predicate,
-                                               view, mode);
-          if (program.ok()) plan += "   -- compiled: " + program->Summary();
-          plan += "\n";
-        }
-        if (pushed->seed.has_value()) {
-          plan += "  seed-index[" + md->root_node().type_name + "." +
-                  pushed->seed->attribute + " = " +
-                  pushed->seed->value.ToString() +
-                  "]   -- root fan-out from AttributeIndex\n";
-        } else if (pushed->scan_seed.has_value()) {
-          plan += "  seed-scan[" + md->root_node().type_name + ": " +
-                  pushed->scan_seed->display +
-                  "]   -- root fan-out from columnar kernel scan\n";
-        }
-        if (pushed->residual != nullptr) {
-          plan += "  residual: " + pushed->residual->ToString();
-          Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, pushed->residual,
-                                               view, mode);
-          if (program.ok()) plan += "   -- compiled: " + program->Summary();
-          plan += "\n";
-        }
-      }
-    }
-  }
-  if (!select.select_all) {
-    if (rd.has_value()) {
-      return Status::Unsupported(
-          "recursive queries support SELECT ALL projections only");
-    }
-    MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
-                         TranslateProjection(*md, select.items));
-    plan += "Pi[{";
-    for (size_t i = 0; i < spec.keep_labels.size(); ++i) {
-      if (i > 0) plan += ", ";
-      plan += spec.keep_labels[i];
-      auto it = spec.attributes.find(spec.keep_labels[i]);
-      if (it != spec.attributes.end()) {
-        plan += "(";
-        for (size_t j = 0; j < it->second.size(); ++j) {
-          if (j > 0) plan += ",";
-          plan += it->second[j];
-        }
-        plan += ")";
-      }
-    }
-    plan += "}]   -- molecule-type projection\n";
-  }
-
-  if (!stmt.analyze) {
-    QueryResult result;
-    result.message = std::move(plan);
-    return result;
-  }
-
-  // EXPLAIN ANALYZE: execute the select under a fresh trace and report the
-  // plan together with the recorded operator span tree. RunSelect takes
-  // the shared lock itself.
-  read_lock.Unlock();
-  auto trace = std::make_shared<QueryTrace>();
-  Result<QueryResult> executed = [&] {
-    TraceScope scope(trace.get());
-    return RunSelect(std::move(stmt.select));
-  }();
-  MAD_RETURN_IF_ERROR(executed.status());
-
-  QueryResult result = *std::move(executed);
-  result.kind = QueryResult::Kind::kCommand;
-  result.message = std::move(plan) + "-- execution profile --\n" +
-                   text::FormatQueryTrace(*trace);
-  result.trace = std::move(trace);
   return result;
 }
 

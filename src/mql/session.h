@@ -124,15 +124,30 @@ class Session {
   uint64_t session_id() const { return session_id_; }
 
  private:
+  /// One SELECT translated and compiled at one view (defined in session.cc).
+  struct SelectPlan;
+
   Result<QueryResult> RunStatement(Statement statement);
-  Result<QueryResult> RunSelect(SelectStatement stmt);
+  /// SELECT, and EXPLAIN [ANALYZE] SELECT when `explain` is set: plans
+  /// `stmt` once under one lock, epoch pin and view, then executes the
+  /// plan, prints it, or prints and executes it.
+  Result<QueryResult> RunSelect(const SelectStatement& stmt,
+                                const ExplainStatement* explain = nullptr);
+  /// Builds `plan` for `stmt` at `view`: the only place a SELECT is
+  /// translated, pushed down and compiled. PRECONDITION: the caller holds a
+  /// shared lock on db_->mutex() for as long as the plan lives.
+  Status PlanSelect(const SelectStatement& stmt, ReadView view,
+                    SelectPlan* plan) const;
+  /// Registers the plan's `name(structure)` and executes the plan at
+  /// `view`, under the lock and epoch pin it was planned under.
+  Result<QueryResult> ExecuteSelect(const SelectStatement& stmt,
+                                    const SelectPlan& plan, ReadView view);
   Result<QueryResult> RunCreateAtomType(CreateAtomTypeStatement stmt);
   Result<QueryResult> RunCreateLinkType(CreateLinkTypeStatement stmt);
   Result<QueryResult> RunInsertAtom(InsertAtomStatement stmt);
   Result<QueryResult> RunInsertLink(InsertLinkStatement stmt);
   Result<QueryResult> RunDelete(DeleteStatement stmt);
   Result<QueryResult> RunUpdate(UpdateStatement stmt);
-  Result<QueryResult> RunExplain(ExplainStatement stmt);
   Result<QueryResult> RunShowMetrics(ShowMetricsStatement stmt);
   Result<QueryResult> RunSetOption(SetOptionStatement stmt);
   Result<QueryResult> RunOpen(OpenStatement stmt);

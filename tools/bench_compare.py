@@ -3,7 +3,10 @@
 
 The bench_* binaries emit, via their --json flag, one file each of the form
 
-    {"benchmark": "bench_perf_clone", "results": [
+    {"benchmark": "bench_perf_clone",
+     "meta": {"cpu_model": "...", "nproc": 4, "build_type": "Release",
+              "compiler": "gcc 12.2.0", "git_sha": "..."},
+     "results": [
       {"op": "BM_CloneDatabase/100", "ns_per_op": 123.4,
        "iterations": 1000, "parallelism": 1}, ...]}
 
@@ -25,6 +28,11 @@ This tool has two subcommands:
       rows, otherwise the regression gate silently never covers them.
       Baseline ops missing from the current run are reported but don't fail
       (compare is also used against single-binary subsets).
+      A benchmark whose baseline and current `meta` differ in CPU model,
+      nproc, build type or compiler, or that lacks `meta` on either side,
+      gets a loud WARNING on stderr: its ns_per_op were measured on
+      different machines or builds. The warning does not change the exit
+      code.
 
 CI runs `compare`; a >threshold regression fails the job unless the PR
 carries the `perf-regression-ok` label (the workflow checks the label, not
@@ -37,16 +45,25 @@ import statistics
 import sys
 
 
+# The meta fields that make two runs' ns_per_op comparable; git_sha is
+# expected to differ between a baseline and the run it gates.
+MACHINE_FIELDS = ("cpu_model", "nproc", "build_type", "compiler")
+
+
+def load_groups(path):
+    """The per-binary objects of a result file or a merged baseline."""
+    with open(path) as f:
+        data = json.load(f)
+    return data if isinstance(data, list) else [data]
+
+
 def load_repetitions(path):
     """Returns {(benchmark, op): [ns_per_op, ...]} from a per-binary result
     file or a merged baseline (array of per-binary objects). A run with
     --benchmark_repetitions=N writes N rows under the same op name; every
     one is kept, in file order."""
-    with open(path) as f:
-        data = json.load(f)
-    groups = data if isinstance(data, list) else [data]
     out = {}
-    for group in groups:
+    for group in load_groups(path):
         bench = group["benchmark"]
         for row in group["results"]:
             out.setdefault((bench, row["op"]), []).append(
@@ -66,6 +83,30 @@ def load_results(path):
     return medians(load_repetitions(path))
 
 
+def meta_warnings(baseline_path, current_paths):
+    """One line per benchmark present on both sides whose machine metadata
+    is missing or differs."""
+    baseline = {g["benchmark"]: g.get("meta") for g in
+                load_groups(baseline_path)}
+    warnings = []
+    for path in current_paths:
+        for group in load_groups(path):
+            bench = group["benchmark"]
+            if bench not in baseline:
+                continue
+            base, cur = baseline[bench], group.get("meta")
+            if base is None or cur is None:
+                side = "baseline" if base is None else path
+                warnings.append(f"{bench}: no machine metadata in {side}")
+                continue
+            diffs = [f"{field} {base.get(field)!r} != {cur.get(field)!r}"
+                     for field in MACHINE_FIELDS
+                     if base.get(field) != cur.get(field)]
+            if diffs:
+                warnings.append(f"{bench}: " + "; ".join(diffs))
+    return warnings
+
+
 def merge(out_path, in_paths):
     groups = []
     for path in in_paths:
@@ -82,6 +123,15 @@ def merge(out_path, in_paths):
 
 
 def compare(baseline_path, current_paths, threshold):
+    warnings = meta_warnings(baseline_path, current_paths)
+    if warnings:
+        print("=" * 72 + "\nWARNING: the baseline and this run may come from "
+              "different machines or builds;\nns_per_op below are not "
+              f"comparable until {baseline_path} is re-measured here:",
+              file=sys.stderr)
+        for line in warnings:
+            print(f"WARNING:   {line}", file=sys.stderr)
+        print("=" * 72, file=sys.stderr)
     baseline_reps = load_repetitions(baseline_path)
     current_reps = {}
     for path in current_paths:

@@ -192,6 +192,39 @@ class BenchCompareTest(unittest.TestCase):
             .endswith("+17.5%")
         )
 
+    def test_machine_metadata_mismatch_warns_loudly(self):
+        # Same numbers, so the verdict stays OK; only the warning differs:
+        # none when the machines match (the SHA may differ), one naming the
+        # differing field, and one when either side has no metadata.
+        meta = {"cpu_model": "Xeon A", "nproc": 4, "build_type": "Release",
+                "compiler": "gcc 12.2.0", "git_sha": "aaa"}
+
+        def run(base_meta, cur_meta):
+            base = result_file("bench_perf_clone", {"BM_Clone/100": 1000.0})
+            cur = result_file("bench_perf_clone", {"BM_Clone/100": 1000.0})
+            if base_meta is not None:
+                base["meta"] = base_meta
+            if cur_meta is not None:
+                cur["meta"] = cur_meta
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = bench_compare.compare(
+                    write_json(self.dir, "base.json", [base]),
+                    [write_json(self.dir, "cur.json", cur)], 0.25)
+            self.assertEqual(rc, 0)
+            return err.getvalue()
+
+        self.assertEqual(run(meta, dict(meta, git_sha="bbb")), "")
+        mismatch = run(meta, dict(meta, cpu_model="EPYC B", nproc=8))
+        self.assertIn("WARNING", mismatch)
+        self.assertIn("cpu_model 'Xeon A' != 'EPYC B'", mismatch)
+        self.assertIn("nproc 4 != 8", mismatch)
+        self.assertNotIn("compiler", mismatch)
+        self.assertIn("bench_perf_clone: no machine metadata in baseline",
+                      run(None, meta))
+        self.assertIn("no machine metadata in", run(meta, None))
+
     def test_cli_exit_codes(self):
         slow = write_json(
             self.dir,
